@@ -35,7 +35,7 @@ impl fmt::Display for ParseJsonError {
 impl Error for ParseJsonError {}
 
 impl Json {
-    /// Parses a complete JSON document.
+    /// Parses a complete JSON document, in time linear in its length.
     ///
     /// # Errors
     ///
@@ -52,21 +52,23 @@ impl Json {
     /// ```
     pub fn parse(input: &str) -> Result<Json, ParseJsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(p.error("trailing characters after document"));
         }
         Ok(value)
     }
 }
 
+/// Single-pass parser state: every byte of the input is looked at a
+/// bounded number of times, so parsing is linear in the input size.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -78,8 +80,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn skip_ws(&mut self) {
@@ -115,7 +121,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseJsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.rest().starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -178,6 +184,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one go. All three stop bytes are ASCII, so the run
+            // ends on a char boundary of input that is already UTF-8.
+            let rest = self.rest();
+            let run = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -200,7 +216,7 @@ impl<'a> Parser<'a> {
                             let first = self.hex4()?;
                             let ch = if (0xD800..0xDC00).contains(&first) {
                                 // High surrogate: require a low surrogate.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                if !self.rest().starts_with(b"\\u") {
                                     return Err(self.error("unpaired surrogate"));
                                 }
                                 self.pos += 2;
@@ -222,27 +238,24 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("peek saw a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.error("control character in string")),
             }
         }
     }
 
+    /// Reads exactly four ASCII hex digits (no sign, no prefix).
     fn hex4(&mut self) -> Result<u32, ParseJsonError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
+        let digits = self
+            .rest()
+            .get(..4)
             .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| self.error("bad \\u escape"))?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| self.error("bad \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let nibble = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.error("bad \\u escape"))?;
+            code = (code << 4) | nibble;
+        }
         self.pos += 4;
         Ok(code)
     }
@@ -285,8 +298,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        let value: f64 = text.parse().map_err(|_| self.error("invalid number"))?;
+        let value: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.error("invalid number"))?;
         Ok(Json::Number(value))
     }
 }
@@ -352,6 +366,7 @@ mod tests {
             "tru",
             "[1] garbage",
             "\"unterminated",
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -19,9 +19,15 @@ fn stdout(args: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// Writes the grouped-LUT decoder to a file of its own: tests run in
+/// parallel, and a shared path could be truncated by another test's
+/// write while the CLI reads it.
 fn write_design() -> std::path::PathBuf {
     use powerplay::designs::luminance::{sheet, LuminanceArch};
-    let path = std::env::temp_dir().join(format!("powerplay-cli-{}.json", std::process::id()));
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("powerplay-cli-{}-{n}.json", std::process::id()));
     std::fs::write(
         &path,
         sheet(LuminanceArch::GroupedLut).to_json().to_pretty(),
