@@ -134,59 +134,83 @@ fn abs_eval(
     path: &str,
     sink: &mut Sink<'_>,
 ) -> Result<AbsValue, EvalError> {
+    // The recursion stays lean (one small frame per level); the
+    // per-node work lives in the non-recursive helpers below.
     match expr {
         Expr::Number(v) => Ok(AbsValue::constant(Interval::point(*v), ninputs)),
-        Expr::Variable(name) => match env.get(name) {
-            Some(v) => Ok(v.clone()),
-            None => Err(EvalError::UnknownVariable(name.clone())),
-        },
-        Expr::Unary(UnaryOp::Neg, inner) => {
-            let v = abs_eval(inner, env, ninputs, path, sink)?;
-            Ok(AbsValue {
-                iv: interval::neg(v.iv),
-                mono: v.mono.iter().map(|m| m.flip()).collect(),
-            })
-        }
+        Expr::Variable(name) => abs_variable(name, env),
+        Expr::Unary(UnaryOp::Neg, inner) => abs_eval(inner, env, ninputs, path, sink).map(abs_neg),
         Expr::Binary(op, lhs, rhs) => {
             let a = abs_eval(lhs, env, ninputs, path, sink)?;
             let b = abs_eval(rhs, env, ninputs, path, sink)?;
-            if *op == BinaryOp::Div && !b.iv.is_bottom() && b.iv.contains_zero() {
-                sink.push(
-                    Diagnostic::warning(
-                        codes::POSSIBLE_DIV_ZERO,
-                        path,
-                        format!(
-                            "denominator of `{}` can be zero (range [{}, {}])",
-                            rhs, b.iv.lo, b.iv.hi
-                        ),
-                    )
-                    .with_suggestion("guard the denominator or tighten the input range"),
-                );
-            }
-            Ok(apply_binary_abs(*op, &a, &b))
+            Ok(abs_binary(*op, &a, (rhs, &b), path, sink))
         }
         Expr::Call(name, args) => {
-            let Some(builtin) = Builtin::lookup(name) else {
-                return Err(EvalError::UnknownFunction(name.clone()));
-            };
-            let expected = builtin.arity();
-            if args.len() != expected {
-                return Err(EvalError::WrongArity {
-                    function: name.clone(),
-                    expected,
-                    found: args.len(),
-                });
-            }
+            let builtin = call_builtin(name, args.len())?;
             if builtin == Builtin::If {
                 return abs_if(args, env, ninputs, path, sink);
             }
-            let vals: Vec<AbsValue> = args
-                .iter()
-                .map(|a| abs_eval(a, env, ninputs, path, sink))
-                .collect::<Result<_, _>>()?;
+            let mut vals = Vec::with_capacity(args.len());
+            for arg in args {
+                vals.push(abs_eval(arg, env, ninputs, path, sink)?);
+            }
             Ok(apply_function_abs(builtin, &vals, path, sink))
         }
     }
+}
+
+fn abs_variable(name: &str, env: &Env<'_>) -> Result<AbsValue, EvalError> {
+    match env.get(name) {
+        Some(v) => Ok(v.clone()),
+        None => Err(EvalError::UnknownVariable(name.to_owned())),
+    }
+}
+
+fn abs_neg(v: AbsValue) -> AbsValue {
+    AbsValue {
+        iv: interval::neg(v.iv),
+        mono: v.mono.iter().map(|m| m.flip()).collect(),
+    }
+}
+
+/// `a op b`, warning when a denominator's range contains zero.
+fn abs_binary(
+    op: BinaryOp,
+    a: &AbsValue,
+    (rhs, b): (&Expr, &AbsValue),
+    path: &str,
+    sink: &mut Sink<'_>,
+) -> AbsValue {
+    if op == BinaryOp::Div && !b.iv.is_bottom() && b.iv.contains_zero() {
+        sink.push(
+            Diagnostic::warning(
+                codes::POSSIBLE_DIV_ZERO,
+                path,
+                format!(
+                    "denominator of `{}` can be zero (range [{}, {}])",
+                    rhs, b.iv.lo, b.iv.hi
+                ),
+            )
+            .with_suggestion("guard the denominator or tighten the input range"),
+        );
+    }
+    apply_binary_abs(op, a, b)
+}
+
+/// The builtin a call names, or the value-independent error it raises.
+fn call_builtin(name: &str, found: usize) -> Result<Builtin, EvalError> {
+    let Some(builtin) = Builtin::lookup(name) else {
+        return Err(EvalError::UnknownFunction(name.to_owned()));
+    };
+    let expected = builtin.arity();
+    if found != expected {
+        return Err(EvalError::WrongArity {
+            function: name.to_owned(),
+            expected,
+            found,
+        });
+    }
+    Ok(builtin)
 }
 
 /// `if(c, t, e)`: the concrete evaluator computes *all three*

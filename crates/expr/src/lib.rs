@@ -36,6 +36,8 @@ mod eval;
 mod lexer;
 mod parser;
 
+pub use parser::MAX_DEPTH;
+
 pub use ast::{BinaryOp, Expr, UnaryOp};
 pub use error::{EvalError, ParseExprError};
 pub use eval::{apply_binary, Builtin, Scope, BUILTIN_FUNCTIONS};

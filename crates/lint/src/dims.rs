@@ -74,6 +74,8 @@ pub fn infer_dims(
     lookup: &dyn Fn(&str) -> DimInfo,
     out: &mut LintReport,
 ) -> DimInfo {
+    // The recursion stays lean (one small frame per level); the
+    // diagnostics are built in the non-recursive helpers below.
     match expr {
         Expr::Number(_) => DimInfo::Any,
         Expr::Variable(name) => lookup(name),
@@ -81,127 +83,144 @@ pub fn infer_dims(
         Expr::Binary(op, lhs, rhs) => {
             let l = infer_dims(lhs, path, lookup, out);
             let r = infer_dims(rhs, path, lookup, out);
-            match op {
-                BinaryOp::Add | BinaryOp::Sub => {
-                    if let (Some(a), Some(b)) = (l.known(), r.known()) {
-                        if a != b {
-                            let verb = if *op == BinaryOp::Add {
-                                "add"
-                            } else {
-                                "subtract"
-                            };
-                            out.push(Diagnostic::error(
-                                codes::DIM_MISMATCH,
-                                path,
-                                format!(
-                                    "dimension mismatch: cannot {verb} `{rhs}` ({b}) and `{lhs}` ({a})"
-                                ),
-                            ));
-                        }
-                    }
-                    // Result follows whichever side is definite.
-                    match (l, r) {
-                        (DimInfo::Known(a), _) => DimInfo::Known(a),
-                        (_, DimInfo::Known(b)) => DimInfo::Known(b),
-                        _ => DimInfo::Any,
-                    }
-                }
-                BinaryOp::Mul => match (l.known(), r.known()) {
-                    (None, None) => DimInfo::Any,
-                    // An unknown factor is assumed dimensionless.
-                    (a, b) => DimInfo::Known(a.unwrap_or(Dim::NONE) * b.unwrap_or(Dim::NONE)),
-                },
-                BinaryOp::Div => match (l.known(), r.known()) {
-                    (None, None) => DimInfo::Any,
-                    (a, b) => DimInfo::Known(a.unwrap_or(Dim::NONE) / b.unwrap_or(Dim::NONE)),
-                },
-                BinaryOp::Rem => {
-                    if let (Some(a), Some(b)) = (l.known(), r.known()) {
-                        if a != b {
-                            out.push(Diagnostic::warning(
-                                codes::DIM_COMPARISON,
-                                path,
-                                format!(
-                                    "operands of `%` have different dimensions: `{lhs}` is {a}, `{rhs}` is {b}"
-                                ),
-                            ));
-                        }
-                    }
-                    l
-                }
-                BinaryOp::Pow => infer_pow(lhs, l, rhs, r, path, out),
-                BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-                | BinaryOp::Eq
-                | BinaryOp::Ne => {
-                    if let (Some(a), Some(b)) = (l.known(), r.known()) {
-                        if a != b {
-                            out.push(Diagnostic::warning(
-                                codes::DIM_COMPARISON,
-                                path,
-                                format!("suspicious comparison: `{lhs}` is {a} but `{rhs}` is {b}"),
-                            ));
-                        }
-                    }
-                    // Comparisons yield 0/1 indicators.
-                    DimInfo::Known(Dim::NONE)
-                }
-            }
+            binary_dims(*op, (lhs, l), (rhs, r), path, out)
         }
         Expr::Call(name, args) => {
-            let arg_dims: Vec<DimInfo> = args
-                .iter()
-                .map(|a| infer_dims(a, path, lookup, out))
-                .collect();
-            let arity_ok = BUILTIN_FUNCTIONS
-                .iter()
-                .any(|(n, a)| n == name && *a == args.len());
-            if !arity_ok {
-                // Unknown function or wrong arity: name analysis reports
-                // it; the dimension is unknowable.
-                return DimInfo::Any;
+            let mut arg_dims = Vec::with_capacity(args.len());
+            for arg in args {
+                arg_dims.push(infer_dims(arg, path, lookup, out));
             }
-            match (name.as_str(), arg_dims.as_slice()) {
-                ("abs" | "floor" | "ceil" | "round", [d]) => *d,
-                ("sqrt", [d]) => match d.known() {
-                    Some(a) => match a.sqrt() {
-                        Some(r) => DimInfo::Known(r),
-                        None => {
-                            out.push(Diagnostic::warning(
-                                codes::DIM_FUNCTION_ARG,
-                                path,
-                                format!("sqrt of `{}` ({a}) has no well-formed dimension", args[0]),
-                            ));
-                            DimInfo::Any
-                        }
-                    },
-                    None => DimInfo::Any,
-                },
-                ("exp" | "ln" | "log10" | "log2", [d]) => {
-                    if let Some(a) = d.known_nontrivial() {
-                        out.push(Diagnostic::warning(
-                            codes::DIM_FUNCTION_ARG,
-                            path,
-                            format!(
-                                "{name} expects a dimensionless argument, but `{}` is {a}",
-                                args[0]
-                            ),
-                        ));
-                    }
-                    DimInfo::Known(Dim::NONE)
+            call_dims(name, args, &arg_dims, path, out)
+        }
+    }
+}
+
+/// The dimension of `lhs op rhs` from its operands' dimensions.
+fn binary_dims(
+    op: BinaryOp,
+    (lhs, l): (&Expr, DimInfo),
+    (rhs, r): (&Expr, DimInfo),
+    path: &str,
+    out: &mut LintReport,
+) -> DimInfo {
+    match op {
+        BinaryOp::Add | BinaryOp::Sub => {
+            if let (Some(a), Some(b)) = (l.known(), r.known()) {
+                if a != b {
+                    let verb = if op == BinaryOp::Add {
+                        "add"
+                    } else {
+                        "subtract"
+                    };
+                    out.push(Diagnostic::error(
+                        codes::DIM_MISMATCH,
+                        path,
+                        format!(
+                            "dimension mismatch: cannot {verb} `{rhs}` ({b}) and `{lhs}` ({a})"
+                        ),
+                    ));
                 }
-                ("min" | "max" | "hypot", [a, b]) => unify(*a, *b, path, out, || {
-                    format!("arguments of {name} have different dimensions")
-                }),
-                ("pow", [b, e]) => infer_pow(&args[0], *b, &args[1], *e, path, out),
-                ("if", [_, t, e]) => unify(*t, *e, path, out, || {
-                    "the two branches of if(...) have different dimensions".to_owned()
-                }),
+            }
+            // Result follows whichever side is definite.
+            match (l, r) {
+                (DimInfo::Known(a), _) => DimInfo::Known(a),
+                (_, DimInfo::Known(b)) => DimInfo::Known(b),
                 _ => DimInfo::Any,
             }
         }
+        BinaryOp::Mul => match (l.known(), r.known()) {
+            (None, None) => DimInfo::Any,
+            // An unknown factor is assumed dimensionless.
+            (a, b) => DimInfo::Known(a.unwrap_or(Dim::NONE) * b.unwrap_or(Dim::NONE)),
+        },
+        BinaryOp::Div => match (l.known(), r.known()) {
+            (None, None) => DimInfo::Any,
+            (a, b) => DimInfo::Known(a.unwrap_or(Dim::NONE) / b.unwrap_or(Dim::NONE)),
+        },
+        BinaryOp::Rem => {
+            if let (Some(a), Some(b)) = (l.known(), r.known()) {
+                if a != b {
+                    out.push(Diagnostic::warning(
+                        codes::DIM_COMPARISON,
+                        path,
+                        format!(
+                            "operands of `%` have different dimensions: `{lhs}` is {a}, `{rhs}` is {b}"
+                        ),
+                    ));
+                }
+            }
+            l
+        }
+        BinaryOp::Pow => infer_pow(lhs, l, rhs, r, path, out),
+        BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge | BinaryOp::Eq | BinaryOp::Ne => {
+            if let (Some(a), Some(b)) = (l.known(), r.known()) {
+                if a != b {
+                    out.push(Diagnostic::warning(
+                        codes::DIM_COMPARISON,
+                        path,
+                        format!("suspicious comparison: `{lhs}` is {a} but `{rhs}` is {b}"),
+                    ));
+                }
+            }
+            // Comparisons yield 0/1 indicators.
+            DimInfo::Known(Dim::NONE)
+        }
+    }
+}
+
+/// The dimension of a call from its arguments' dimensions.
+fn call_dims(
+    name: &str,
+    args: &[Expr],
+    arg_dims: &[DimInfo],
+    path: &str,
+    out: &mut LintReport,
+) -> DimInfo {
+    let arity_ok = BUILTIN_FUNCTIONS
+        .iter()
+        .any(|(n, a)| *n == name && *a == args.len());
+    if !arity_ok {
+        // Unknown function or wrong arity: name analysis reports
+        // it; the dimension is unknowable.
+        return DimInfo::Any;
+    }
+    match (name, arg_dims) {
+        ("abs" | "floor" | "ceil" | "round", [d]) => *d,
+        ("sqrt", [d]) => match d.known() {
+            Some(a) => match a.sqrt() {
+                Some(r) => DimInfo::Known(r),
+                None => {
+                    out.push(Diagnostic::warning(
+                        codes::DIM_FUNCTION_ARG,
+                        path,
+                        format!("sqrt of `{}` ({a}) has no well-formed dimension", args[0]),
+                    ));
+                    DimInfo::Any
+                }
+            },
+            None => DimInfo::Any,
+        },
+        ("exp" | "ln" | "log10" | "log2", [d]) => {
+            if let Some(a) = d.known_nontrivial() {
+                out.push(Diagnostic::warning(
+                    codes::DIM_FUNCTION_ARG,
+                    path,
+                    format!(
+                        "{name} expects a dimensionless argument, but `{}` is {a}",
+                        args[0]
+                    ),
+                ));
+            }
+            DimInfo::Known(Dim::NONE)
+        }
+        ("min" | "max" | "hypot", [a, b]) => unify(*a, *b, path, out, || {
+            format!("arguments of {name} have different dimensions")
+        }),
+        ("pow", [b, e]) => infer_pow(&args[0], *b, &args[1], *e, path, out),
+        ("if", [_, t, e]) => unify(*t, *e, path, out, || {
+            "the two branches of if(...) have different dimensions".to_owned()
+        }),
+        _ => DimInfo::Any,
     }
 }
 
@@ -272,30 +291,46 @@ fn infer_pow(
 /// to a non-finite value — `1/0` inside a larger formula, an overflow
 /// literal — anchored at `path`.
 pub fn check_constant_folds(expr: &Expr, path: &str, out: &mut LintReport) {
-    let children: Vec<&Expr> = match expr {
-        Expr::Number(_) | Expr::Variable(_) => Vec::new(),
-        Expr::Unary(UnaryOp::Neg, inner) => vec![inner],
-        Expr::Binary(_, lhs, rhs) => vec![lhs, rhs],
-        Expr::Call(_, args) => args.iter().collect(),
-    };
-    for child in &children {
-        check_constant_folds(child, path, out);
-    }
-    if let Some(v) = expr.constant_value() {
-        if !v.is_finite() {
-            // Only report where the non-finiteness is introduced: skip
-            // nodes whose own operand already folds non-finite.
-            let introduced_here = children
-                .iter()
-                .all(|c| c.constant_value().is_none_or(f64::is_finite));
-            if introduced_here {
-                out.push(Diagnostic::error(
-                    codes::NON_FINITE_CONSTANT,
-                    path,
-                    format!("constant subexpression `{expr}` evaluates to {v}"),
-                ));
+    match expr {
+        Expr::Number(_) | Expr::Variable(_) => {}
+        Expr::Unary(UnaryOp::Neg, inner) => check_constant_folds(inner, path, out),
+        Expr::Binary(_, lhs, rhs) => {
+            check_constant_folds(lhs, path, out);
+            check_constant_folds(rhs, path, out);
+        }
+        Expr::Call(_, args) => {
+            for arg in args {
+                check_constant_folds(arg, path, out);
             }
         }
+    }
+    report_non_finite_fold(expr, path, out);
+}
+
+/// The per-node half of [`check_constant_folds`], kept out of the
+/// recursion so each level's frame stays small.
+fn report_non_finite_fold(expr: &Expr, path: &str, out: &mut LintReport) {
+    let Some(v) = expr.constant_value() else {
+        return;
+    };
+    if v.is_finite() {
+        return;
+    }
+    // Only report where the non-finiteness is introduced: skip nodes
+    // whose own operand already folds non-finite.
+    let folds_finite = |c: &Expr| c.constant_value().is_none_or(f64::is_finite);
+    let introduced_here = match expr {
+        Expr::Number(_) | Expr::Variable(_) => true,
+        Expr::Unary(UnaryOp::Neg, inner) => folds_finite(inner),
+        Expr::Binary(_, lhs, rhs) => folds_finite(lhs) && folds_finite(rhs),
+        Expr::Call(_, args) => args.iter().all(folds_finite),
+    };
+    if introduced_here {
+        out.push(Diagnostic::error(
+            codes::NON_FINITE_CONSTANT,
+            path,
+            format!("constant subexpression `{expr}` evaluates to {v}"),
+        ));
     }
 }
 

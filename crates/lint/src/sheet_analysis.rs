@@ -277,33 +277,7 @@ fn report_names(expr: &Expr, path: &str, ctx: &VarCtx<'_>, out: &mut LintReport)
 fn check_calls(expr: &Expr, path: &str, out: &mut LintReport) {
     match expr {
         Expr::Call(name, args) => {
-            match BUILTIN_FUNCTIONS.iter().find(|(n, _)| n == name) {
-                None => out.push(
-                    Diagnostic::error(
-                        codes::UNKNOWN_FUNCTION,
-                        path,
-                        format!("unknown function `{name}`"),
-                    )
-                    .with_suggestion(format!(
-                        "builtins: {}",
-                        BUILTIN_FUNCTIONS
-                            .iter()
-                            .map(|(n, _)| *n)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )),
-                ),
-                Some((_, arity)) if args.len() != *arity => out.push(Diagnostic::error(
-                    codes::WRONG_ARITY,
-                    path,
-                    format!(
-                        "`{name}` takes {arity} argument{}, found {}",
-                        if *arity == 1 { "" } else { "s" },
-                        args.len()
-                    ),
-                )),
-                _ => {}
-            }
+            check_call(name, args.len(), path, out);
             for a in args {
                 check_calls(a, path, out);
             }
@@ -314,6 +288,37 @@ fn check_calls(expr: &Expr, path: &str, out: &mut LintReport) {
             check_calls(rhs, path, out);
         }
         Expr::Number(_) | Expr::Variable(_) => {}
+    }
+}
+
+/// One call site of [`check_calls`], kept out of the recursion so each
+/// level's frame stays small.
+fn check_call(name: &str, found: usize, path: &str, out: &mut LintReport) {
+    match BUILTIN_FUNCTIONS.iter().find(|(n, _)| *n == name) {
+        None => out.push(
+            Diagnostic::error(
+                codes::UNKNOWN_FUNCTION,
+                path,
+                format!("unknown function `{name}`"),
+            )
+            .with_suggestion(format!(
+                "builtins: {}",
+                BUILTIN_FUNCTIONS
+                    .iter()
+                    .map(|(n, _)| *n)
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )),
+        ),
+        Some((_, arity)) if found != *arity => out.push(Diagnostic::error(
+            codes::WRONG_ARITY,
+            path,
+            format!(
+                "`{name}` takes {arity} argument{}, found {found}",
+                if *arity == 1 { "" } else { "s" },
+            ),
+        )),
+        _ => {}
     }
 }
 

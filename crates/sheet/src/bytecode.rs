@@ -51,7 +51,7 @@ use powerplay_telemetry::{Counter, Histogram};
 use powerplay_units::{Area, Energy, Power, Time};
 
 use crate::engine::EvaluateSheetError;
-use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet};
+use crate::plan::{CompiledGlobal, CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
 use crate::report::{RowReport, SheetReport};
 
 /// Bytecode-engine metrics, registered once in the process-global
@@ -347,6 +347,8 @@ impl Lowerer {
     /// Lowers one expression, returning the slot holding its value.
     /// Traversal order mirrors [`Expr::eval`] exactly, so the *first*
     /// statically-decided error in tree-walk order is the one trapped.
+    /// The recursion stays lean (one small frame per level); emitting
+    /// and folding live in the non-recursive helpers below.
     fn lower_expr(
         &mut self,
         expr: &Expr,
@@ -358,79 +360,107 @@ impl Lowerer {
             Expr::Number(n) => Ok(self.konst(*n)),
             Expr::Variable(name) => match env.lookup(name) {
                 Some(slot) => Ok(slot),
-                None => {
-                    self.unresolved.insert(name.clone());
-                    Err(self.trap(wrap(EvalError::UnknownVariable(name.clone()))))
-                }
+                None => Err(self.unknown_variable(name, wrap)),
             },
             Expr::Unary(UnaryOp::Neg, inner) => {
                 let a = self.lower_expr(inner, env, wrap)?;
-                if let Some(v) = self.const_val[a as usize] {
-                    return Ok(self.konst(-v));
-                }
-                let dst = self.reg("");
-                self.emit(Instr::Neg { dst, a });
-                Ok(dst)
+                Ok(self.lower_neg(a))
             }
             Expr::Binary(op, lhs, rhs) => {
                 let a = self.lower_expr(lhs, env, wrap)?;
                 let b = self.lower_expr(rhs, env, wrap)?;
-                if let (Some(l), Some(r)) = (self.const_val[a as usize], self.const_val[b as usize])
-                {
-                    return Ok(self.konst(apply_binary(*op, l, r)));
-                }
-                let dst = self.reg("");
-                self.emit(Instr::Bin { op: *op, dst, a, b });
-                Ok(dst)
+                Ok(self.lower_binary(*op, a, b))
             }
             Expr::Call(name, args) => {
-                let Some(builtin) = Builtin::lookup(name) else {
-                    self.unresolved.insert(name.clone());
-                    return Err(self.trap(wrap(EvalError::UnknownFunction(name.clone()))));
-                };
-                let arity = builtin.arity();
-                if args.len() != arity {
-                    return Err(self.trap(wrap(EvalError::WrongArity {
-                        function: name.clone(),
-                        expected: arity,
-                        found: args.len(),
-                    })));
-                }
+                let builtin = self.call_builtin(name, args.len(), wrap)?;
                 let mut slots = [0u32; 3];
                 for (slot, arg) in slots.iter_mut().zip(args) {
                     *slot = self.lower_expr(arg, env, wrap)?;
                 }
-                let consts: Vec<Option<f64>> = slots[..arity]
-                    .iter()
-                    .map(|&s| self.const_val[s as usize])
-                    .collect();
-                if consts.iter().all(Option::is_some) {
-                    let values: Vec<f64> = consts.into_iter().map(Option::unwrap).collect();
-                    return Ok(self.konst(builtin.apply(&values)));
-                }
-                let dst = self.reg("");
-                match arity {
-                    1 => self.emit(Instr::Call1 {
-                        f: builtin,
-                        dst,
-                        a: slots[0],
-                    }),
-                    2 => self.emit(Instr::Call2 {
-                        f: builtin,
-                        dst,
-                        a: slots[0],
-                        b: slots[1],
-                    }),
-                    _ => self.emit(Instr::Sel {
-                        dst,
-                        cond: slots[0],
-                        a: slots[1],
-                        b: slots[2],
-                    }),
-                }
-                Ok(dst)
+                Ok(self.lower_call(builtin, &slots[..args.len()]))
             }
         }
+    }
+
+    fn unknown_variable(
+        &mut self,
+        name: &str,
+        wrap: &dyn Fn(EvalError) -> EvaluateSheetError,
+    ) -> Poisoned {
+        self.unresolved.insert(name.to_owned());
+        self.trap(wrap(EvalError::UnknownVariable(name.to_owned())))
+    }
+
+    /// The builtin a call names, or the trap for an unknown function or
+    /// a wrong arity.
+    fn call_builtin(
+        &mut self,
+        name: &str,
+        found: usize,
+        wrap: &dyn Fn(EvalError) -> EvaluateSheetError,
+    ) -> Lower<Builtin> {
+        let Some(builtin) = Builtin::lookup(name) else {
+            self.unresolved.insert(name.to_owned());
+            return Err(self.trap(wrap(EvalError::UnknownFunction(name.to_owned()))));
+        };
+        let expected = builtin.arity();
+        if found != expected {
+            return Err(self.trap(wrap(EvalError::WrongArity {
+                function: name.to_owned(),
+                expected,
+                found,
+            })));
+        }
+        Ok(builtin)
+    }
+
+    fn lower_neg(&mut self, a: u32) -> u32 {
+        if let Some(v) = self.const_val[a as usize] {
+            return self.konst(-v);
+        }
+        let dst = self.reg("");
+        self.emit(Instr::Neg { dst, a });
+        dst
+    }
+
+    fn lower_binary(&mut self, op: BinaryOp, a: u32, b: u32) -> u32 {
+        if let (Some(l), Some(r)) = (self.const_val[a as usize], self.const_val[b as usize]) {
+            return self.konst(apply_binary(op, l, r));
+        }
+        let dst = self.reg("");
+        self.emit(Instr::Bin { op, dst, a, b });
+        dst
+    }
+
+    /// A call whose arguments are lowered into `slots` (one per
+    /// argument, arity already checked).
+    fn lower_call(&mut self, builtin: Builtin, slots: &[u32]) -> u32 {
+        let consts: Vec<Option<f64>> = slots.iter().map(|&s| self.const_val[s as usize]).collect();
+        if consts.iter().all(Option::is_some) {
+            let values: Vec<f64> = consts.into_iter().map(Option::unwrap).collect();
+            return self.konst(builtin.apply(&values));
+        }
+        let dst = self.reg("");
+        match slots.len() {
+            1 => self.emit(Instr::Call1 {
+                f: builtin,
+                dst,
+                a: slots[0],
+            }),
+            2 => self.emit(Instr::Call2 {
+                f: builtin,
+                dst,
+                a: slots[0],
+                b: slots[1],
+            }),
+            _ => self.emit(Instr::Sel {
+                dst,
+                cond: slots[0],
+                a: slots[1],
+                b: slots[2],
+            }),
+        }
+        dst
     }
 
     /// Lowers one element model formula plus its physical-value guard —
@@ -801,7 +831,7 @@ impl Lowerer {
             env.insert_top(g.name.clone(), slot);
             globals[idx] = Some((g.name.clone(), slot));
         }
-        let rows_plan = match &sub.structure {
+        let rows_plan = match &sub.body.structure {
             Ok(plan) => plan,
             Err(e) => {
                 let e = e.clone();
@@ -895,20 +925,21 @@ impl Lowerer {
 }
 
 impl Program {
-    /// Lowers a compiled sheet into one flat program, or `None` when the
-    /// top-level structure itself failed to compile (the tree walker
-    /// reports those errors before any row evaluation, so there is
-    /// nothing to accelerate).
-    pub(crate) fn lower(plan: &CompiledSheet) -> Option<Program> {
-        let rows_plan = plan.structure.as_ref().ok()?;
+    /// Lowers a compiled row plan into one flat program. The top-level
+    /// `globals` contribute only their names: each becomes a register
+    /// seeded per play, so the program never depends on their formulas.
+    /// (A top-level structural error has no program: the tree walker
+    /// reports it before any row evaluation, so there is nothing to
+    /// accelerate.)
+    pub(crate) fn lower(globals: &[CompiledGlobal], rows_plan: &RowsPlan) -> Program {
         let mut lw = Lowerer::new();
         let mut env = Env::new();
         // Declared top-level globals: one named register each, seeded
         // per play from the scalar global resolution (which owns the
         // override graph-repair logic).
         env.push_layer();
-        let mut global_slots = Vec::with_capacity(plan.globals.len());
-        for g in &plan.globals {
+        let mut global_slots = Vec::with_capacity(globals.len());
+        for g in globals {
             let slot = lw.reg(g.name.to_string());
             env.insert_top(g.name.clone(), slot);
             global_slots.push(slot);
@@ -939,7 +970,7 @@ impl Program {
             row_spans[i] = (start, lw.code.len() as u32);
             recipes[i] = Some(rec);
         }
-        Some(Program {
+        Program {
             code: lw.code,
             init: lw.init,
             global_slots,
@@ -952,7 +983,7 @@ impl Program {
             unresolved: lw.unresolved,
             names: lw.names,
             rows_total: lw.rows_total,
-        })
+        }
     }
 
     /// True when `name` could not be resolved to a register somewhere in

@@ -49,6 +49,7 @@ mod macros;
 mod plan;
 mod report;
 mod row;
+mod same;
 mod sheet;
 pub mod whatif;
 

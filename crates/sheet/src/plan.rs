@@ -28,8 +28,9 @@
 //!
 //! A plan snapshots the sheet and registry at compile time: recompile
 //! after editing rows, bindings, global *formulas*, or library
-//! contents. Changing global *values* is what [`CompiledSheet::play_with`]
-//! is for.
+//! contents ([`CompiledSheet::recompile`] keeps the compiled rows and
+//! program when only global formulas changed). Changing global *values*
+//! is what [`CompiledSheet::play_with`] is for.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +44,7 @@ use crate::bytecode::{bytecode_metrics, Program, TrapHit};
 use crate::engine::{toposort, EvaluateSheetError};
 use crate::report::{RowReport, SheetReport};
 use crate::row::{Row, RowModel};
+use crate::same;
 use crate::sheet::Sheet;
 
 /// Engine-layer metrics, registered once in the process-global registry.
@@ -51,6 +53,7 @@ use crate::sheet::Sheet;
 /// counts as one compile and one play (rows are counted at every level).
 pub(crate) struct PlanMetrics {
     compile_seconds: Histogram,
+    compile_reused_total: Counter,
     replay_seconds: Histogram,
     plays_total: Counter,
     pub(crate) rows_evaluated_total: Counter,
@@ -69,6 +72,10 @@ pub(crate) fn plan_metrics() -> &'static PlanMetrics {
             compile_seconds: g.histogram(
                 "powerplay_sheet_compile_seconds",
                 "Time to compile a sheet into an evaluation plan",
+            ),
+            compile_reused_total: g.counter(
+                "powerplay_sheet_compile_reused_total",
+                "Recompiles that kept the previous plan's rows and program (global-only edits)",
             ),
             replay_seconds: g.histogram(
                 "powerplay_sheet_replay_seconds",
@@ -136,6 +143,13 @@ fn with_scratch_regs<T>(f: impl FnOnce(&mut Vec<f64>) -> T) -> T {
 /// let doubled = plan.play_with(&[("vdd", 3.0)]).unwrap().total_power();
 /// assert!((doubled / base - 4.0).abs() < 1e-9);
 /// ```
+///
+/// A plan is two parts: a per-revision *globals half* (the top-level
+/// global formulas and their evaluation order) and a shared *body* (the
+/// row plan and the bytecode program). Top-level globals reach the body
+/// only as named register slots seeded on every play, so an edit that
+/// changes only global formulas can keep the body — see
+/// [`CompiledSheet::recompile`]. Clones share the body.
 #[derive(Debug, Clone)]
 pub struct CompiledSheet {
     /// Process-unique identity (clones share it — same content).
@@ -145,13 +159,24 @@ pub struct CompiledSheet {
     /// Global evaluation order for the un-overridden sheet (recomputed
     /// per play when overrides are present — see module docs).
     pub(crate) base_global_plan: Result<Vec<usize>, EvaluateSheetError>,
+    /// Everything that does not depend on top-level global formulas.
+    pub(crate) body: Arc<PlanBody>,
+}
+
+/// The half of a [`CompiledSheet`] that global-only edits reuse: it
+/// depends on the rows, the registry contents and the top-level global
+/// *names* (their register slots), never on the global formulas.
+#[derive(Debug)]
+pub(crate) struct PlanBody {
     /// Row plan, or the structural error the engine would report.
     pub(crate) structure: Result<RowsPlan, EvaluateSheetError>,
     /// The sheet lowered to one flat register-machine program (see
     /// [`crate::bytecode`]); `None` when the top-level structure errored
     /// or this plan is a sub-sheet (already inlined by its parent's
     /// program). Attached by [`CompiledSheet::compile`] only.
-    pub(crate) program: Option<Arc<Program>>,
+    pub(crate) program: Option<Program>,
+    /// The registry generation the rows were resolved against.
+    generation: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -231,38 +256,91 @@ impl CompiledSheet {
         // Lower the whole hierarchy (sub-sheets inlined) into one flat
         // register-machine program. Only the top level carries one: a
         // sub-plan's rows are spans inside its parent's program.
-        plan.program = Program::lower(&plan).map(Arc::new);
+        let body = Arc::get_mut(&mut plan.body).expect("a fresh body is unshared");
+        body.program = body
+            .structure
+            .as_ref()
+            .ok()
+            .map(|rows| Program::lower(&plan.globals, rows));
         plan
     }
 
-    /// [`CompiledSheet::compile`] minus the metrics, so sub-sheet
-    /// recursion inside `compile_rows` doesn't count extra compiles.
+    /// The plan for `next`, given that `self` is the plan compiled from
+    /// `prev` against `registry` (or against an earlier state of the
+    /// same registry value: generations order the states of one value,
+    /// not contents across values). When `next` differs from `prev` only
+    /// in top-level global formulas, the body is shared and only the
+    /// globals half is rebuilt; otherwise this is
+    /// [`CompiledSheet::compile`]. The body is reused only when all
+    /// three hold:
+    ///
+    /// * `next`'s rows are bit-identical to `prev`'s (every `f64`
+    ///   compared by bit pattern: the constant pool keeps `0.0` and
+    ///   `-0.0` apart, `Row: PartialEq` does not);
+    /// * `next`'s top-level global names are `self`'s, in order (each
+    ///   names a register slot of the program);
+    /// * the registry generation is the one the body was built against.
+    ///
+    /// Either way the result plays bit-for-bit like a fresh compile of
+    /// `next`. A reuse is not a compile: it is counted in
+    /// `powerplay_sheet_compile_reused_total`, not in
+    /// `powerplay_sheet_compile_seconds`.
+    pub fn recompile(&self, prev: &Sheet, next: &Sheet, registry: &Registry) -> CompiledSheet {
+        let reusable = self.body.generation == registry.generation()
+            && self.globals.len() == next.globals().len()
+            && self
+                .globals
+                .iter()
+                .zip(next.globals())
+                .all(|(g, (name, _))| *g.name == **name)
+            && same::rows_identical(prev.rows(), next.rows());
+        if !reusable {
+            return Self::compile(next, registry);
+        }
+        plan_metrics().compile_reused_total.inc();
+        let (globals, base_global_plan) = compile_globals(next);
+        CompiledSheet {
+            id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
+            name: Arc::from(next.name()),
+            globals,
+            base_global_plan,
+            body: Arc::clone(&self.body),
+        }
+    }
+
+    /// [`CompiledSheet::compile`] minus the metrics and the lowering, so
+    /// sub-sheet recursion inside `compile_rows` doesn't count extra
+    /// compiles.
     pub(crate) fn compile_impl(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
         let _span = profile::span_lazy(|| format!("compile {}", sheet.name()));
-        let globals: Vec<CompiledGlobal> = sheet
-            .globals()
-            .iter()
-            .map(|(name, expr)| CompiledGlobal {
-                name: Arc::from(name.as_str()),
-                free: expr.free_variables(),
-                expr: expr.clone(),
-            })
-            .collect();
-        let base_global_plan = plan_globals(&globals);
+        let (globals, base_global_plan) = compile_globals(sheet);
         CompiledSheet {
             id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
             name: Arc::from(sheet.name()),
-            base_global_plan,
-            structure: compile_rows(sheet, registry),
             globals,
-            program: None,
+            base_global_plan,
+            body: Arc::new(PlanBody {
+                structure: compile_rows(sheet, registry),
+                program: None,
+                generation: registry.generation(),
+            }),
         }
+    }
+
+    /// True when `self` and `other` share one body (the row plan and
+    /// program) — what [`CompiledSheet::recompile`] returns on reuse.
+    pub fn shares_body_with(&self, other: &CompiledSheet) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
     }
 
     /// Number of top-level rows (0 when the sheet has a structural
     /// error). Useful to compare against [`ReplayState::last_dirty_rows`].
     pub fn row_count(&self) -> usize {
-        self.structure.as_ref().map(|p| p.rows.len()).unwrap_or(0)
+        self.body
+            .structure
+            .as_ref()
+            .map(|p| p.rows.len())
+            .unwrap_or(0)
     }
 
     /// Names this sheet may read from an enclosing scope when played as
@@ -280,7 +358,7 @@ impl CompiledSheet {
                     .cloned(),
             );
         }
-        if let Ok(plan) = &self.structure {
+        if let Ok(plan) = &self.body.structure {
             let internal_refs: BTreeSet<&str> = plan
                 .rows
                 .iter()
@@ -381,7 +459,7 @@ impl CompiledSheet {
         if !parent.is_empty_root() {
             return None;
         }
-        let prog = self.program.as_deref()?;
+        let prog = self.body.program.as_ref()?;
         if names.iter().any(|n| prog.is_unresolved(n)) {
             return None;
         }
@@ -418,7 +496,7 @@ impl CompiledSheet {
             self.eval_overridden_globals(&mut globals_scope, overrides)?
         };
 
-        let plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let plan = self.body.structure.as_ref().map_err(Clone::clone)?;
 
         if use_bytecode {
             let names: Vec<&str> = overrides.iter().map(|&(n, _)| n).collect();
@@ -689,7 +767,7 @@ impl CompiledSheet {
         let inner = plan.inner.as_ref().map_err(Clone::clone)?;
         let mut globals_scope = Scope::new();
         let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let rows_plan = self.body.structure.as_ref().map_err(Clone::clone)?;
 
         let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
         if let Some(prog) = self.bytecode_for(&Scope::new(), &names) {
@@ -776,7 +854,7 @@ impl CompiledSheet {
         let inner = plan.inner.as_ref().map_err(Clone::clone)?;
         let mut globals_scope = Scope::new();
         let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let rows_plan = self.body.structure.as_ref().map_err(Clone::clone)?;
         let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
         let prog = self.bytecode_for(&Scope::new(), &names);
 
@@ -1116,7 +1194,7 @@ impl CompiledSheet {
         let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
         let prog = self.bytecode_for(&Scope::new(), &names)?;
         let inner = plan.inner.as_ref().ok()?;
-        let rows_plan = self.structure.as_ref().ok()?;
+        let rows_plan = self.body.structure.as_ref().ok()?;
 
         // Baseline: the un-overridden play, through the program so its
         // register image is available for lane seeding.
@@ -1433,6 +1511,24 @@ fn delta_walk_bytecode(
             .collect(),
         evaluated,
     ))
+}
+
+/// The globals half of a plan: `sheet`'s top-level globals with their
+/// free variables, and their un-overridden evaluation order. Shared by
+/// [`CompiledSheet::compile`] and the reuse path of
+/// [`CompiledSheet::recompile`].
+fn compile_globals(sheet: &Sheet) -> (Vec<CompiledGlobal>, Result<Vec<usize>, EvaluateSheetError>) {
+    let globals: Vec<CompiledGlobal> = sheet
+        .globals()
+        .iter()
+        .map(|(name, expr)| CompiledGlobal {
+            name: Arc::from(name.as_str()),
+            free: expr.free_variables(),
+            expr: expr.clone(),
+        })
+        .collect();
+    let base_global_plan = plan_globals(&globals);
+    (globals, base_global_plan)
 }
 
 /// Plans global evaluation order for the un-overridden sheet,
@@ -1927,7 +2023,7 @@ impl CompiledSheet {
     ///
     /// The structural error every play would raise.
     pub fn rows_view(&self) -> Result<RowsView<'_>, &EvaluateSheetError> {
-        match &self.structure {
+        match &self.body.structure {
             Ok(plan) => Ok(RowsView { plan }),
             Err(err) => Err(err),
         }
@@ -1938,9 +2034,145 @@ impl CompiledSheet {
     /// instruction stream. Returns a one-line notice when the sheet has
     /// no program (top-level structural error).
     pub fn disassemble(&self) -> String {
-        match &self.program {
+        match &self.body.program {
             Some(prog) => prog.disassemble(),
             None => "no bytecode program: top-level structure failed to compile\n".to_owned(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use powerplay_library::builtin::ucb_library;
+
+    fn sheet() -> Sheet {
+        let mut s = Sheet::new("s");
+        s.set_global("vdd", "1.5").unwrap();
+        s.set_global("f", "2MHz").unwrap();
+        s.add_element_row("Reg", "ucb/register", [("bits", "16")])
+            .unwrap();
+        s.add_element_row("Conv", "ucb/dcdc", [("p_load", "P_reg * 2")])
+            .unwrap();
+        s
+    }
+
+    /// Bit-exact rendering of a play result (`Debug` prints `-0.0` and
+    /// `NaN` apart from `0.0`).
+    fn bits(plan: &CompiledSheet) -> String {
+        format!("{:?}", plan.play())
+    }
+
+    #[test]
+    fn body_is_shared_exactly_when_the_three_conditions_hold() {
+        let mut lib = ucb_library();
+        let prev = sheet();
+        let plan = CompiledSheet::compile(&prev, &lib);
+        let shares = |next: &Sheet, lib: &Registry| {
+            let derived = plan.recompile(&prev, next, lib);
+            let fresh = CompiledSheet::compile(next, lib);
+            assert_eq!(bits(&derived), bits(&fresh));
+            assert_eq!(derived.disassemble(), fresh.disassemble());
+            Arc::ptr_eq(&plan.body, &derived.body)
+        };
+
+        // Global formulas only (and the sheet name): shared.
+        let mut next = prev.clone();
+        next.set_global("vdd", "3.3").unwrap();
+        next.set_global("f", "vdd * 1MHz").unwrap();
+        assert!(shares(&next, &lib));
+        let mut renamed_sheet = Sheet::new("t");
+        renamed_sheet.set_global("vdd", "1.2").unwrap();
+        renamed_sheet.set_global("f", "2MHz").unwrap();
+        for row in prev.rows() {
+            renamed_sheet.add_row(row.clone());
+        }
+        assert!(shares(&renamed_sheet, &lib));
+        // A formula that no longer evaluates still keeps the body.
+        let mut broken = prev.clone();
+        broken.set_global("f", "ghost * 2").unwrap();
+        assert!(shares(&broken, &lib));
+
+        // Global added, removed, renamed or reordered: compiled fresh.
+        let mut added = prev.clone();
+        added.set_global("k", "1").unwrap();
+        assert!(!shares(&added, &lib));
+        let mut removed = Sheet::new("s");
+        removed.set_global("vdd", "1.5").unwrap();
+        for row in prev.rows() {
+            removed.add_row(row.clone());
+        }
+        assert!(!shares(&removed, &lib));
+        let mut swapped = Sheet::new("s");
+        swapped.set_global("f", "2MHz").unwrap();
+        swapped.set_global("vdd", "1.5").unwrap();
+        for row in prev.rows() {
+            swapped.add_row(row.clone());
+        }
+        assert!(!shares(&swapped, &lib));
+
+        // Any row edit: compiled fresh.
+        let mut row_edit = prev.clone();
+        row_edit.rows_mut()[0].bind("bits", "32").unwrap();
+        assert!(!shares(&row_edit, &lib));
+
+        // A registry change between the two: compiled fresh.
+        let extra = lib.get("ucb/register").unwrap().clone();
+        lib.insert(extra);
+        let mut next = prev.clone();
+        next.set_global("vdd", "3.3").unwrap();
+        assert!(!shares(&next, &lib));
+    }
+
+    #[test]
+    fn reuse_chains_keep_the_first_body() {
+        let lib = ucb_library();
+        let mut prev = sheet();
+        let first = CompiledSheet::compile(&prev, &lib);
+        let mut plan = first.clone();
+        for vdd in ["1.0", "2.0", "3.0"] {
+            let mut next = prev.clone();
+            next.set_global("vdd", vdd).unwrap();
+            let derived = plan.recompile(&prev, &next, &lib);
+            assert!(Arc::ptr_eq(&first.body, &derived.body));
+            assert_ne!(derived.id, plan.id, "every revision gets a fresh id");
+            assert_eq!(bits(&derived), bits(&CompiledSheet::compile(&next, &lib)));
+            (prev, plan) = (next, derived);
+        }
+    }
+
+    #[test]
+    fn literal_zero_to_programmatic_negative_zero_compiles_fresh() {
+        let lib = ucb_library();
+        let with_k = |k: f64| {
+            let mut sub = Sheet::new("sub");
+            sub.set_global_value("k", k);
+            sub.add_element_row("Reg", "ucb/register", [("bits", "16 + k")])
+                .unwrap();
+            let mut s = sheet();
+            s.add_subsheet_row("Sub", sub);
+            s
+        };
+        let mut prev = with_k(0.0);
+        prev.set_global("vdd", "1.5").unwrap();
+        let mut next = with_k(-0.0);
+        next.set_global("vdd", "2.5").unwrap();
+        assert_eq!(
+            prev.rows(),
+            next.rows(),
+            "Row: PartialEq treats 0.0 == -0.0"
+        );
+
+        let plan = CompiledSheet::compile(&prev, &lib);
+        let derived = plan.recompile(&prev, &next, &lib);
+        assert!(!Arc::ptr_eq(&plan.body, &derived.body));
+        let fresh = CompiledSheet::compile(&next, &lib);
+        assert_eq!(derived.disassemble(), fresh.disassemble());
+        assert_ne!(
+            plan.disassemble(),
+            fresh.disassemble(),
+            "the constant pool tells the zeros apart"
+        );
+        assert_eq!(bits(&derived), bits(&fresh));
     }
 }

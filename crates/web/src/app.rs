@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use powerplay_expr::Scope;
 use powerplay_json::Json;
 use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
-use powerplay_sheet::{ReplayState, RowModel, Sheet, SheetReport};
+use powerplay_sheet::{CompiledSheet, ReplayState, RowModel, Sheet, SheetReport};
 use powerplay_store::StoreChange;
 use powerplay_telemetry::{profile, Counter, Gauge, Histogram};
 use powerplay_units::format;
@@ -123,6 +123,17 @@ impl LegacyMode {
     }
 }
 
+/// What the revision-event path keeps per design between commits.
+#[derive(Default)]
+struct DesignReplay {
+    /// The replay baseline. Every revision gets a plan with a fresh id,
+    /// so each event replays in full; the state only saves allocations.
+    state: ReplayState,
+    /// The last committed sheet and its plan: the next revision's plan
+    /// is [`CompiledSheet::recompile`]d from them.
+    last: Option<(Arc<Sheet>, Arc<CompiledSheet>)>,
+}
+
 /// The application: a shared model registry plus the user store.
 pub struct PowerPlayApp {
     pub(crate) registry: RwLock<Registry>,
@@ -135,10 +146,9 @@ pub struct PowerPlayApp {
     /// change hook. `Arc` so stream-open callbacks can subscribe after
     /// the handler returned.
     pub(crate) events: Arc<EventHub>,
-    /// Per-design incremental-replay baselines for revision-event
-    /// reports: consecutive commits against an unchanged plan replay
-    /// only the dirty rows.
-    replay: Mutex<HashMap<(String, String), ReplayState>>,
+    /// Per-design state of the revision-event path, one entry per live
+    /// design (removed when the design is deleted).
+    replay: Mutex<HashMap<(String, String), DesignReplay>>,
     /// The legacy-API sunset switch.
     legacy: RwLock<LegacyMode>,
     /// HTTP Basic credentials; `None` = open access (the public Berkeley
@@ -321,6 +331,9 @@ impl PowerPlayApp {
                 if user.starts_with('_') {
                     return;
                 }
+                self.replay
+                    .lock()
+                    .remove(&((*user).to_owned(), (*design).to_owned()));
                 // No new revision is minted, so the event carries no id
                 // (and is not retained for replay): late joiners see
                 // the design's absence in their snapshot instead.
@@ -335,22 +348,39 @@ impl PowerPlayApp {
         }
     }
 
-    /// The delta-replayed report for a freshly committed revision, as
-    /// the JSON shape `/api/v1/.../play` answers with. Shares the plan
-    /// cache with every other consumer; the per-design [`ReplayState`]
-    /// means a commit whose compiled plan is already warm (a rollback
-    /// to a cached revision, a repeated save) re-evaluates only dirty
-    /// rows. An unevaluable design yields `None` — the event still
+    /// The report for a freshly committed revision, as the JSON shape
+    /// `/api/v1/.../play` answers with. Shares the plan cache with every
+    /// other consumer. On a miss the plan is recompiled from the
+    /// design's previous revision, so an edit that changes only global
+    /// formulas keeps the compiled rows and program. The hook runs one
+    /// design's commits in revision order, so the entry holds the
+    /// previous revision (and the pair is consistent whichever revision
+    /// it holds). An unevaluable design yields `None` — the event still
     /// announces the revision.
-    fn revision_report(&self, user: &str, design: &str, rev: u64, sheet: &Sheet) -> Option<Json> {
+    fn revision_report(
+        &self,
+        user: &str,
+        design: &str,
+        rev: u64,
+        sheet: &Arc<Sheet>,
+    ) -> Option<Json> {
+        let id = (user.to_owned(), design.to_owned());
         let key = self.stored_key(user, design, rev);
-        let plan = self.plan_for(key, sheet);
+        // Compile outside the app-wide lock, so commits to other designs
+        // do not wait behind this one.
+        let last = self.replay.lock().get(&id).and_then(|d| d.last.clone());
+        let (plan, _hit) = self.plan_cache.plan_for(key, || {
+            let registry = self.registry.read();
+            match &last {
+                Some((prev, prev_plan)) => prev_plan.recompile(prev, sheet, &registry),
+                None => CompiledSheet::compile(sheet, &registry),
+            }
+        });
         let report = {
             let mut states = self.replay.lock();
-            let state = states
-                .entry((user.to_owned(), design.to_owned()))
-                .or_default();
-            plan.replay_delta(state, &[]).ok()?
+            let entry = states.entry(id).or_default();
+            entry.last = Some((Arc::clone(sheet), Arc::clone(&plan)));
+            plan.replay_delta(&mut entry.state, &[]).ok()?
         };
         let rows: Json = report
             .rows()
@@ -2575,6 +2605,49 @@ mod tests {
         assert!(body.contains("powerplay_http_requests_total"), "{body}");
         assert!(body.contains("powerplay_http_request_seconds"));
         assert!(body.contains("/metrics"));
+    }
+
+    #[test]
+    fn deleting_a_design_drops_its_replay_entry() {
+        let app = app("replay-delete");
+        let id = ("alice".to_owned(), "d".to_owned());
+        let last_plan = |app: &PowerPlayApp| {
+            let replay = app.replay.lock();
+            replay
+                .get(&id)
+                .and_then(|d| d.last.clone())
+                .map(|(_, plan)| plan)
+        };
+        let mut sheet = Sheet::new("d");
+        sheet.set_global("vdd", "1.5").unwrap();
+        sheet.set_global("f", "2MHz").unwrap();
+        sheet
+            .add_element_row("Reg", "ucb/register", [("bits", "16")])
+            .unwrap();
+        let with_vdd = |vdd: &str| {
+            let mut s = sheet.clone();
+            s.set_global("vdd", vdd).unwrap();
+            s
+        };
+
+        let rev = app.store.save("alice", "d", &sheet, None).unwrap();
+        let first = last_plan(&app).expect("the commit hook keeps the plan");
+        // A global-only edit keeps the compiled body.
+        app.store
+            .save("alice", "d", &with_vdd("2.5"), Some(rev))
+            .unwrap();
+        let second = last_plan(&app).unwrap();
+        assert!(second.shares_body_with(&first));
+
+        app.store.delete("alice", "d").unwrap();
+        assert!(!app.replay.lock().contains_key(&id), "entry removed");
+
+        // Re-created, differing only in a global: compiled fresh.
+        app.store
+            .save("alice", "d", &with_vdd("3.3"), None)
+            .unwrap();
+        let third = last_plan(&app).unwrap();
+        assert!(!third.shares_body_with(&second));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use powerplay_library::builtin::ucb_library;
 use powerplay_sheet::Sheet;
 use powerplay_web::app::PowerPlayApp;
 use powerplay_web::events::sse_frame;
-use powerplay_web::http::{http_put, ServerConfig, ServerHandle};
+use powerplay_web::http::{http_post, http_put, ServerConfig, ServerHandle};
 
 fn serve(tag: &str) -> (Arc<PowerPlayApp>, ServerHandle) {
     serve_with(tag, ServerConfig::default())
@@ -305,4 +305,80 @@ fn idle_streams_get_heartbeat_comments() {
         );
     }
     server.shutdown();
+}
+
+/// A registry change between two edits reaches the next revision's
+/// event. The design names an element that is not registered yet, so
+/// its revision reports are `null`; once a model upload registers the
+/// element, a PUT that changes only a global must report the fresh
+/// play. Reusing the previous revision's compiled rows across the
+/// registry change would keep the row unresolved and report `null`.
+#[test]
+fn registry_change_between_global_only_edits_reaches_the_report() {
+    let (_app, server) = serve("registry-change");
+    let addr = server.addr();
+    let base = format!("http://{addr}/api/v1/designs/alice/d");
+    let design = |vdd: &str| {
+        let mut sheet = Sheet::new("d");
+        sheet.set_global("vdd", vdd).unwrap();
+        sheet.set_global("f", "2e6").unwrap();
+        sheet
+            .add_element_row("R", "ucb/register", [("bits", "16")])
+            .unwrap();
+        sheet
+            .add_element_row("Probe", "custom/probe", [("bits", "8")])
+            .unwrap();
+        sheet.to_json().to_string()
+    };
+    let put = |vdd: &str, if_match: &str| {
+        let response = http_put(
+            &base,
+            design(vdd).as_bytes(),
+            "application/json",
+            Some(if_match),
+        )
+        .unwrap();
+        assert!(response.status().code() < 300, "{}", response.body_text());
+    };
+    let next_revision = |reader: &mut BufReader<TcpStream>| loop {
+        let (event, id, data) = read_event(reader);
+        if event == "revision" {
+            return (id, Json::parse(&data).unwrap());
+        }
+    };
+
+    put("1.5", "*");
+    let mut stream = open_stream(addr, None);
+    assert_eq!(read_event(&mut stream).0, "snapshot");
+    put("2.0", "\"1\"");
+    let (id, event) = next_revision(&mut stream);
+    assert_eq!(id, Some(2));
+    assert!(event["report"].is_null(), "unknown element: no report");
+
+    let model = r#"{
+        "name": "custom/probe",
+        "class": "computation",
+        "params": [{"name": "bits", "default": 16, "doc": "width"}],
+        "model": {"cap_full": "bits * 0.5e-12"}
+    }"#;
+    let created = http_post(
+        &format!("http://{addr}/api/v1/models"),
+        model.as_bytes(),
+        "application/json",
+    )
+    .unwrap();
+    assert_eq!(created.status().code(), 201, "{}", created.body_text());
+
+    put("2.5", "\"2\"");
+    let (id, event) = next_revision(&mut stream);
+    assert_eq!(id, Some(3));
+    let played = http_post(&format!("{base}/play"), b"", "application/json").unwrap();
+    assert_eq!(played.status().code(), 200, "{}", played.body_text());
+    let played = Json::parse(&played.body_text()).unwrap();
+    assert!(event["report"]["total_w"].as_f64().is_some_and(|w| w > 0.0));
+    assert_eq!(
+        event["report"].to_string(),
+        played["report"].to_string(),
+        "the event reports what a fresh play computes"
+    );
 }

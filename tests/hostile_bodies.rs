@@ -1,7 +1,9 @@
-//! A hostile request body cannot pin a worker. The largest body the
-//! server accepts, sent as one JSON string, is rejected with the v1
-//! `invalid_body` envelope within a fraction of a second. A second
-//! connection is served meanwhile.
+//! A hostile request body can neither pin a worker nor crash the
+//! server. The largest body the server accepts, sent as one JSON string,
+//! is rejected with the v1 `invalid_body` envelope within a fraction of
+//! a second while a second connection is served. A small design whose
+//! formula nests thousands of levels deep is rejected the same way, and
+//! the server keeps answering after it.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use powerplay::ucb_library;
 use powerplay_web::app::PowerPlayApp;
-use powerplay_web::http::{http_get, Status};
+use powerplay_web::http::{http_get, http_put, Status};
 
 /// The server's request body limit.
 const MAX_BODY: usize = 4 * 1024 * 1024;
@@ -60,4 +62,42 @@ fn body_just_under_the_limit_is_rejected_promptly_while_others_are_served() {
         response.lines().next()
     );
     assert!(response.contains("\"invalid_body\""), "{response}");
+}
+
+#[test]
+fn deeply_nested_formula_is_a_400_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("powerplay-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = PowerPlayApp::new(ucb_library(), dir);
+    let server = app.serve("127.0.0.1:0").unwrap();
+    let base = format!("http://{}", server.addr());
+
+    // About 10 KB: one global of 5,000 nested parentheses.
+    let formula = format!("{}1{}", "(".repeat(5_000), ")".repeat(5_000));
+    let body = format!(
+        r#"{{"name":"deep","globals":[{{"name":"vdd","formula":"{formula}"}}],"rows":[]}}"#
+    );
+    assert!(body.len() > 10_000 && body.len() < 11_000);
+    let response = http_put(
+        &format!("{base}/api/v1/designs/mallory/deep"),
+        body.as_bytes(),
+        "application/json",
+        None,
+    )
+    .unwrap();
+    assert_eq!(
+        response.status(),
+        Status::BadRequest,
+        "{}",
+        response.body_text()
+    );
+    assert!(
+        response.body_text().contains("\"invalid_body\""),
+        "{}",
+        response.body_text()
+    );
+
+    // A second connection, opened after the hostile PUT, is answered.
+    let element = http_get(&format!("{base}/api/v1/elements/ucb/register")).unwrap();
+    assert_eq!(element.status(), Status::Ok, "{}", element.body_text());
 }
