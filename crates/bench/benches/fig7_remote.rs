@@ -18,10 +18,10 @@ fn bench(c: &mut Criterion) {
 
     banner("Figure 7: model access across the network (HTTP, not SMTP)");
     let fetched = remote::fetch_library(&base).expect("fetch own library");
-    println!("GET {base}/api/library -> {} models", fetched.len());
+    println!("GET {base}/api/v1/library -> {} models", fetched.len());
     let element = remote::fetch_element(&base, "ucb/multiplier").expect("fetch one model");
     println!(
-        "GET {base}/api/element?name=ucb/multiplier -> `{}` ({} params)",
+        "GET {base}/api/v1/elements/ucb/multiplier -> `{}` ({} params)",
         element.name(),
         element.params().len(),
     );

@@ -1,5 +1,6 @@
 //! Serving-path benchmark: boots the real socket server and hammers
-//! `/api/design` with the paper's InfoPad system, in two shapes:
+//! `GET /api/v1/designs/demo/infopad` (the paper's InfoPad system, a
+//! revision-tagged store read) in two shapes:
 //!
 //! - `sequential` — one client, a fresh TCP connection per request
 //!   (`Connection: close`), matching how this bench measured the old
@@ -30,7 +31,7 @@ const CONCURRENT_SECS: f64 = 2.0;
 const SEQUENTIAL_SECS: f64 = 1.5;
 
 fn main() {
-    banner("serving path (InfoPad via /api/design)");
+    banner("serving path (InfoPad via GET /api/v1/designs/demo/infopad)");
     // The bench is closed-loop on one host: clients and server share the
     // same cores, and batch latency floors at in_flight / throughput
     // (Little's law), so the CPU count is part of the result.
@@ -64,7 +65,7 @@ fn main() {
         )
         .expect("bind");
     let addr = server.addr();
-    let path = "/api/design?user=demo&name=infopad";
+    let path = "/api/v1/designs/demo/infopad";
 
     let sequential = run_sequential(addr, path);
     println!(
@@ -141,7 +142,7 @@ fn run_sequential(addr: std::net::SocketAddr, path: &str) -> f64 {
         stream.write_all(request.as_bytes()).expect("send");
         let response = read_response(&mut BufReader::new(stream)).expect("response");
         assert_eq!(response.status(), Status::Ok);
-        assert!(response.body_text().contains("total_w"));
+        assert!(response.body_text().contains("InfoPad System"));
     };
     // Brief warmup, then a timed loop.
     let warmup = Instant::now();
@@ -198,7 +199,7 @@ fn run_concurrent(addr: std::net::SocketAddr, path: &str) -> ConcurrentResult {
                         match read_response(&mut reader) {
                             Ok(r)
                                 if r.status() == Status::Ok
-                                    && r.body_text().contains("total_w") => {}
+                                    && r.body_text().contains("InfoPad System") => {}
                             _ => errors += 1,
                         }
                         requests += 1;

@@ -127,10 +127,10 @@ where
     }
     metrics.queue_depth.add(items.len() as i64);
     let next = AtomicUsize::new(0);
-    let chunks: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|scope| {
+    let chunks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut state = init();
                     let mut out = Vec::new();
                     loop {
@@ -149,8 +149,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("what-if worker panicked"))
             .collect()
-    })
-    .expect("what-if worker pool panicked");
+    });
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
@@ -754,6 +753,31 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let out = parallel_map(&items, |&i| i * 3);
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn worker_panics_surface_on_the_caller() {
+        let items: Vec<usize> = (0..64).collect();
+        let payload = std::panic::catch_unwind(|| {
+            parallel_map(&items, |&i| {
+                assert!(i != 17, "point 17 failed");
+                i
+            })
+        })
+        .expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        // A pool reports the join failure; a one-core host maps serially
+        // and the item's own panic arrives unwrapped.
+        let expected = if worker_count() > 1 {
+            "what-if worker panicked"
+        } else {
+            "point 17 failed"
+        };
+        assert!(message.contains(expected), "{message}");
     }
 
     #[test]

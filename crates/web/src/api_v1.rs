@@ -1,8 +1,6 @@
 //! The versioned JSON API: `/api/v1/`.
 //!
-//! The pre-v1 `/api/*` endpoints grew one query parameter at a time out
-//! of the 1996 CGI scripts; this module is the deliberate redesign. It
-//! is a *resource* router — designs are addressed as
+//! A *resource* router — designs are addressed as
 //! `/api/v1/designs/{user}/{name}`, and the durable store's revision
 //! number is the HTTP validator:
 //!
@@ -17,9 +15,10 @@
 //!   revision, so history stays append-only);
 //! * `POST .../play|sweep|sensitivities|lint|analyze` run the engine
 //!   (or the abstract interpreter) against the stored design, sharing
-//!   the compiled-plan cache with the legacy API; `analyze` bodies are
-//!   cached beside the plan, so an unchanged design answers without
-//!   re-analyzing;
+//!   one compiled-plan cache; `analyze` bodies are cached beside the
+//!   plan, so an unchanged design answers without re-analyzing;
+//! * `POST /api/v1/play|lint|sensitivities` take an *unsaved* sheet
+//!   document as the body, keyed in the plan cache by content hash;
 //! * `POST /api/v1/libraries` accepts a raw Liberty (`.lib`) source,
 //!   lowers every cell to an EQ-1 element (see `crates/liberty`),
 //!   persists the import as a revisioned store document, and registers
@@ -30,16 +29,15 @@
 //! `{"error": {"code", "message", "diagnostics"?}}` — machine-readable
 //! `code`, human-readable `message`, structured detail where it exists
 //! (lint reports for evaluation failures, `expected`/`actual` revisions
-//! for conflicts). The legacy `/api/*` routes keep answering but carry
-//! `Deprecation`/`Link` headers (see `PowerPlayApp::decorate_legacy`).
+//! for conflicts).
 
 use std::sync::Arc;
 
 use powerplay_json::Json;
-use powerplay_sheet::Sheet;
+use powerplay_sheet::{CompiledSheet, Sheet};
 use powerplay_store::StoreError;
 
-use crate::app::{LegacyMode, PowerPlayApp, LIBRARY_SHARD};
+use crate::app::{PowerPlayApp, LIBRARY_SHARD};
 use crate::cache::PlanCache;
 use crate::events::sse_frame;
 use crate::http::{Method, Request, Response, Status};
@@ -53,12 +51,20 @@ pub(crate) fn respond(app: &PowerPlayApp, req: &Request) -> Response {
     let result = match segments.as_slice() {
         // `GET /api/v1` — the machine-readable route index.
         [] => match req.method() {
-            Method::Get => Ok(route_index(app)),
+            Method::Get => Ok(route_index()),
             _ => Err(method_not_allowed("GET")),
         },
         ["stats"] => match req.method() {
             Method::Get => Ok(stats_get()),
             _ => Err(method_not_allowed("GET")),
+        },
+        ["play"] => match req.method() {
+            Method::Post => play_body_post(app, req),
+            _ => Err(method_not_allowed("POST")),
+        },
+        ["lint"] => match req.method() {
+            Method::Post => lint_body_post(app, req),
+            _ => Err(method_not_allowed("POST")),
         },
         ["sensitivities"] => match req.method() {
             Method::Post => sensitivities_body_post(app, req),
@@ -296,12 +302,12 @@ fn with_cached_body(
     key: u64,
     build: impl FnOnce() -> Result<String, Response>,
 ) -> Result<Response, Response> {
-    if let Some(body) = app.plan_cache.cached_analysis(key) {
+    if let Some(body) = app.plan_cache.cached_body(key) {
         return Ok(Response::json(body.as_str().to_owned()));
     }
     let body = build()?;
     app.plan_cache
-        .store_analysis(key, std::sync::Arc::new(body.clone()));
+        .store_body(key, std::sync::Arc::new(body.clone()));
     Ok(Response::json(body))
 }
 
@@ -765,6 +771,8 @@ fn analyze_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, 
 const V1_ROUTES: &[(&str, &str)] = &[
     ("GET", "/api/v1"),
     ("GET", "/api/v1/stats"),
+    ("POST", "/api/v1/play"),
+    ("POST", "/api/v1/lint"),
     ("POST", "/api/v1/sensitivities"),
     ("POST", "/api/v1/models"),
     ("GET", "/api/v1/library"),
@@ -786,20 +794,11 @@ const V1_ROUTES: &[(&str, &str)] = &[
     ("POST", "/api/v1/designs/{user}/{name}/analyze"),
 ];
 
-/// The legacy routes that answer on more than one method.
-fn legacy_methods(route: &str) -> &'static [&'static str] {
-    match route {
-        "/api/design" | "/api/lint" => &["GET", "POST"],
-        _ => &["GET"],
-    }
-}
-
-/// `GET /api/v1` — the route index: every v1 route plus the deprecated
-/// legacy routes with their sunset state and successor, so clients can
-/// discover the surface (and its deprecations) without prose.
-fn route_index(app: &PowerPlayApp) -> Response {
-    let mode = app.legacy_mode();
-    let mut routes: Vec<Json> = V1_ROUTES
+/// `GET /api/v1` — the route index: every v1 route, so clients can
+/// discover the surface without prose. No route is deprecated; the
+/// flag stays in each entry so the index keeps its shape.
+fn route_index() -> Response {
+    let routes: Json = V1_ROUTES
         .iter()
         .map(|(method, path)| {
             Json::object([
@@ -809,25 +808,7 @@ fn route_index(app: &PowerPlayApp) -> Response {
             ])
         })
         .collect();
-    for (route, successor) in PowerPlayApp::LEGACY_API_ROUTES {
-        for method in legacy_methods(route) {
-            routes.push(Json::object([
-                ("method", Json::from(*method)),
-                ("path", Json::from(*route)),
-                ("deprecated", Json::from(true)),
-                ("sunset", Json::from(mode == LegacyMode::Off)),
-                ("successor", Json::from(*successor)),
-            ]));
-        }
-    }
-    Response::json(
-        Json::object([
-            ("version", Json::from("v1")),
-            ("legacy_mode", Json::from(mode.as_str())),
-            ("routes", routes.into_iter().collect::<Json>()),
-        ])
-        .to_string(),
-    )
+    Response::json(Json::object([("version", Json::from("v1")), ("routes", routes)]).to_string())
 }
 
 /// `GET /api/v1/stats` — the telemetry snapshot as JSON: the
@@ -885,20 +866,51 @@ fn stats_get() -> Response {
     )
 }
 
-/// `POST /api/v1/sensitivities` with a sheet JSON document as the body
-/// — the what-if ranking for an *unsaved* design (editor integrations,
-/// CI), completing the v1 migration of the legacy query-parameter
-/// route. The compiled plan is cached by canonicalized content hash,
-/// like `POST /api/design` bodies.
-fn sensitivities_body_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> {
+/// Decodes an unsaved sheet document from the request body.
+fn body_sheet(req: &Request) -> Result<Sheet, Response> {
     let json = body_json(req)?;
-    let sheet = Sheet::from_json(&json)
-        .map_err(|e| envelope(Status::BadRequest, "invalid_body", &e.to_string(), None))?;
+    Sheet::from_json(&json)
+        .map_err(|e| envelope(Status::BadRequest, "invalid_body", &e.to_string(), None))
+}
+
+/// The compiled plan for an unsaved sheet body, cached by canonicalized
+/// content hash so formatting differences do not fragment the cache.
+fn body_plan(app: &PowerPlayApp, req: &Request) -> Result<Arc<CompiledSheet>, Response> {
+    let sheet = body_sheet(req)?;
     let key = PlanCache::key(
         &sheet.to_json().to_string(),
         app.registry.read().generation(),
     );
-    let plan = app.plan_for(key, &sheet);
+    Ok(app.plan_for(key, &sheet))
+}
+
+/// `POST /api/v1/play` with a sheet JSON document as the body — play a
+/// design without saving it (scripted exploration, CI). Answers with
+/// the report shape of `POST .../designs/{user}/{name}/play`; a repeat
+/// of an unchanged sheet reuses the cached plan.
+fn play_body_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> {
+    let report = body_plan(app, req)?.play().map_err(|e| play_error(&e))?;
+    Ok(Response::json(
+        Json::object([("report", report_json(&report))]).to_string(),
+    ))
+}
+
+/// `POST /api/v1/lint` with a sheet JSON document as the body — the
+/// static analyzer's report for an unsaved design (editor
+/// integrations, CI).
+fn lint_body_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> {
+    let sheet = body_sheet(req)?;
+    let report = powerplay_lint::lint_sheet(&sheet, &app.registry.read());
+    Ok(Response::json(
+        Json::object([("lint", report.to_json())]).to_string(),
+    ))
+}
+
+/// `POST /api/v1/sensitivities` with a sheet JSON document as the body
+/// — the what-if ranking for an *unsaved* design (editor integrations,
+/// CI).
+fn sensitivities_body_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> {
+    let plan = body_plan(app, req)?;
     let sens =
         powerplay_sheet::whatif::sensitivities_compiled(&plan).map_err(|e| play_error(&e))?;
     let ranking: Json = sens
@@ -1575,62 +1587,28 @@ mod tests {
     }
 
     #[test]
-    fn route_index_lists_v1_and_deprecated_routes() {
+    fn route_index_lists_every_v1_route() {
         let app = app("index");
         let index = get(&app, "/api/v1");
         assert_eq!(index.status(), Status::Ok);
         let parsed = Json::parse(&index.body_text()).unwrap();
         assert_eq!(parsed["version"].as_str(), Some("v1"));
-        assert_eq!(parsed["legacy_mode"].as_str(), Some("warn"));
+        assert!(parsed.get("legacy_mode").is_none());
         let routes = parsed["routes"].as_array().unwrap();
+        assert_eq!(routes.len(), V1_ROUTES.len());
+        assert!(routes.iter().all(|r| {
+            r["path"].as_str().is_some_and(|p| p.starts_with("/api/v1"))
+                && r["deprecated"].as_bool() == Some(false)
+        }));
         let find = |method: &str, path: &str| {
             routes
                 .iter()
                 .find(|r| r["method"].as_str() == Some(method) && r["path"].as_str() == Some(path))
                 .unwrap_or_else(|| panic!("{method} {path} missing from index"))
         };
-        let events = find("GET", "/api/v1/designs/{user}/{name}/events");
-        assert_eq!(events["deprecated"].as_bool(), Some(false));
-        let legacy = find("GET", "/api/sweep");
-        assert_eq!(legacy["deprecated"].as_bool(), Some(true));
-        assert_eq!(legacy["sunset"].as_bool(), Some(false));
-        assert_eq!(
-            legacy["successor"].as_str(),
-            Some("/api/v1/designs/{user}/{name}/sweep")
-        );
-        // /api/design answers on both methods; both are indexed.
-        find("GET", "/api/design");
-        find("POST", "/api/design");
-    }
-
-    #[test]
-    fn legacy_off_sunsets_with_410_and_successor_link() {
-        let app = app("sunset");
-        app.set_legacy_mode(LegacyMode::Off);
-        let gone = get(&app, "/api/library");
-        assert_eq!(gone.status(), Status::Gone);
-        assert_eq!(error_code(&gone), "gone");
-        assert_eq!(gone.header("deprecation"), Some("true"));
-        assert_eq!(
-            gone.header("link"),
-            Some("</api/v1/library>; rel=\"successor-version\"")
-        );
-        // The remaining-traffic counter still counts sunset hits.
-        let metrics = get(&app, "/metrics").body_text();
-        assert!(
-            metrics.contains("powerplay_web_legacy_api_total{route=\"/api/library\"}"),
-            "{metrics}"
-        );
-        // The index reflects the switch; v1 routes are untouched.
-        let parsed = Json::parse(&get(&app, "/api/v1").body_text()).unwrap();
-        assert_eq!(parsed["legacy_mode"].as_str(), Some("off"));
-        assert_eq!(get(&app, "/api/v1/library").status(), Status::Ok);
-
-        // `on` serves the legacy route bare, no deprecation headers.
-        app.set_legacy_mode(LegacyMode::On);
-        let bare = get(&app, "/api/library");
-        assert_eq!(bare.status(), Status::Ok);
-        assert_eq!(bare.header("deprecation"), None);
+        find("GET", "/api/v1/designs/{user}/{name}/events");
+        find("POST", "/api/v1/play");
+        find("POST", "/api/v1/lint");
     }
 
     #[test]
@@ -1658,6 +1636,67 @@ mod tests {
         let bad = post(&app, "/api/v1/sensitivities", "{\"not\": \"a sheet\"}");
         assert_eq!(bad.status(), Status::BadRequest);
         assert_eq!(error_code(&bad), "invalid_body");
+    }
+
+    #[test]
+    fn play_and_lint_accept_a_sheet_body() {
+        let app = app("playbody");
+        let infopad = include_str!("../../../examples/designs/infopad.json");
+        put(&app, "/api/v1/designs/demo/infopad", infopad, None);
+        let stored = post(&app, "/api/v1/designs/demo/infopad/play", "");
+        assert_eq!(stored.status(), Status::Ok, "{}", stored.body_text());
+        let stored = Json::parse(&stored.body_text()).unwrap();
+
+        // The unsaved sheet plays to the stored design's report.
+        let played = post(&app, "/api/v1/play", infopad);
+        assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
+        let parsed = Json::parse(&played.body_text()).unwrap();
+        assert_eq!(parsed["report"], stored["report"]);
+        assert!(
+            parsed.get("rev").is_none(),
+            "an unsaved sheet has no revision"
+        );
+
+        // A repeat is answered from the cached plan.
+        let key = PlanCache::key(
+            &Sheet::from_json(&Json::parse(infopad).unwrap())
+                .unwrap()
+                .to_json()
+                .to_string(),
+            app.registry.read().generation(),
+        );
+        let (_, hit) = app.plan_cache.plan_for(key, || panic!("plan is cached"));
+        assert!(hit);
+        let again = post(&app, "/api/v1/play", infopad);
+        assert_eq!(again.body_text(), played.body_text());
+
+        // Malformed bodies get the envelope; so does a failing play.
+        let bad = post(&app, "/api/v1/play", "{\"not\": ");
+        assert_eq!(bad.status(), Status::BadRequest);
+        assert_eq!(error_code(&bad), "invalid_body");
+        let bad = post(&app, "/api/v1/play", "{\"not\": \"a sheet\"}");
+        assert_eq!(error_code(&bad), "invalid_body");
+        let mut broken = Sheet::new("b");
+        broken.set_global("vdd", "1.5").unwrap();
+        broken.set_global("f", "2e6").unwrap();
+        broken.add_element_row("X", "nowhere/nothing", []).unwrap();
+        let failed = post(&app, "/api/v1/play", &broken.to_json().to_string());
+        assert_eq!(
+            failed.status(),
+            Status::BadRequest,
+            "{}",
+            failed.body_text()
+        );
+        assert_eq!(error_code(&failed), "evaluation_failed");
+
+        // Lint takes the same body and answers with the lint report.
+        let linted = post(&app, "/api/v1/lint", infopad);
+        assert_eq!(linted.status(), Status::Ok, "{}", linted.body_text());
+        let parsed = Json::parse(&linted.body_text()).unwrap();
+        assert_eq!(parsed["lint"]["errors"].as_f64(), Some(0.0));
+        let bad = post(&app, "/api/v1/lint", "not json");
+        assert_eq!(error_code(&bad), "invalid_body");
+        assert_eq!(get(&app, "/api/v1/play").status(), Status::MethodNotAllowed);
     }
 
     #[test]
@@ -1753,26 +1792,5 @@ mod tests {
         let missing = get(&app, "/api/v1/designs/a/nope/events");
         assert_eq!(missing.status(), Status::NotFound);
         assert_eq!(error_code(&missing), "not_found");
-    }
-
-    #[test]
-    fn legacy_api_advertises_deprecation_and_successor() {
-        let app = app("legacy");
-        let legacy = get(&app, "/api/library");
-        assert_eq!(legacy.status(), Status::Ok);
-        assert_eq!(legacy.header("deprecation"), Some("true"));
-        assert_eq!(
-            legacy.header("link"),
-            Some("</api/v1/library>; rel=\"successor-version\"")
-        );
-        // v1 responses carry no deprecation marker.
-        let v1 = get(&app, "/api/v1/library");
-        assert_eq!(v1.header("deprecation"), None);
-        // The remaining-traffic counter is exported.
-        let metrics = get(&app, "/metrics").body_text();
-        assert!(
-            metrics.contains("powerplay_web_legacy_api_total{route=\"/api/library\"}"),
-            "{metrics}"
-        );
     }
 }

@@ -19,7 +19,7 @@ use powerplay_store::StoreChange;
 use powerplay_telemetry::{profile, Counter, Gauge, Histogram};
 use powerplay_units::format;
 
-use crate::cache::{self, PlanCache};
+use crate::cache::PlanCache;
 use crate::events::{sse_frame, EventHub};
 use crate::html;
 use crate::http::urlencoded::{encode, encode_pairs};
@@ -88,41 +88,6 @@ const PLAN_CACHE_CAPACITY: usize = 32;
 /// inspector can read the same shard.
 pub const LIBRARY_SHARD: &str = "_libraries";
 
-/// How the deprecated pre-v1 `/api/*` routes answer (the sunset
-/// switch, `serve --legacy-api=`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LegacyMode {
-    /// Answer normally, no deprecation headers (for deployments whose
-    /// clients choke on unknown headers).
-    On,
-    /// Answer normally but advertise `Deprecation` + successor `Link`
-    /// headers (the default).
-    Warn,
-    /// Refuse with `410 Gone` carrying the successor `Link`.
-    Off,
-}
-
-impl LegacyMode {
-    /// Parses the `--legacy-api=` flag value.
-    pub fn parse(s: &str) -> Option<LegacyMode> {
-        match s {
-            "on" => Some(LegacyMode::On),
-            "warn" => Some(LegacyMode::Warn),
-            "off" => Some(LegacyMode::Off),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, for the route index.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LegacyMode::On => "on",
-            LegacyMode::Warn => "warn",
-            LegacyMode::Off => "off",
-        }
-    }
-}
-
 /// What the revision-event path keeps per design between commits.
 #[derive(Default)]
 struct DesignReplay {
@@ -138,7 +103,7 @@ struct DesignReplay {
 pub struct PowerPlayApp {
     pub(crate) registry: RwLock<Registry>,
     pub(crate) store: UserStore,
-    /// Compiled plans + `/api/design` bodies keyed by design revision
+    /// Compiled plans and derived bodies keyed by design revision
     /// (stored designs) or content hash (unsaved posts) and registry
     /// generation (see [`crate::cache`]).
     pub(crate) plan_cache: PlanCache,
@@ -149,8 +114,6 @@ pub struct PowerPlayApp {
     /// Per-design state of the revision-event path, one entry per live
     /// design (removed when the design is deleted).
     replay: Mutex<HashMap<(String, String), DesignReplay>>,
-    /// The legacy-API sunset switch.
-    legacy: RwLock<LegacyMode>,
     /// HTTP Basic credentials; `None` = open access (the public Berkeley
     /// instance), `Some` = "password-restricted access" per the paper's
     /// protection section.
@@ -173,7 +136,6 @@ impl PowerPlayApp {
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             events: Arc::new(EventHub::new()),
             replay: Mutex::new(HashMap::new()),
-            legacy: RwLock::new(LegacyMode::Warn),
             credentials: None,
         })
     }
@@ -241,7 +203,6 @@ impl PowerPlayApp {
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             events: Arc::new(EventHub::new()),
             replay: Mutex::new(HashMap::new()),
-            legacy: RwLock::new(LegacyMode::Warn),
             credentials: Some(credentials),
         })
     }
@@ -283,16 +244,6 @@ impl PowerPlayApp {
     /// The SSE fan-out hub (tests, the events endpoint).
     pub fn events(&self) -> &Arc<EventHub> {
         &self.events
-    }
-
-    /// Flips the legacy-API sunset switch (`serve --legacy-api=`).
-    pub fn set_legacy_mode(&self, mode: LegacyMode) {
-        *self.legacy.write() = mode;
-    }
-
-    /// The current legacy-API mode.
-    pub fn legacy_mode(&self) -> LegacyMode {
-        *self.legacy.read()
     }
 
     /// The store change hook: turns every committed design mutation
@@ -468,102 +419,19 @@ impl PowerPlayApp {
             (Method::Post, "/design/remove_row") => self.design_remove_row(req),
             (Method::Post, "/design/lump") => self.design_lump(req),
             (Method::Get, "/design/sub") => self.design_sub(req),
-            (Method::Get, "/api/library") => Ok(self.api_library()),
-            (Method::Get, "/api/element") => self.api_element(req),
-            (Method::Get, "/api/design") => self.api_design(req),
-            (Method::Post, "/api/design") => self.api_design_post(req),
-            (Method::Get, "/api/lint") => self.api_lint_get(req),
-            (Method::Post, "/api/lint") => self.api_lint_post(req),
-            (Method::Get, "/api/sweep") => self.api_sweep(req),
-            (Method::Get, "/api/sensitivities") => self.api_sensitivities(req),
             (Method::Get, "/agent") => self.agent_page(req),
             (Method::Get, "/metrics") => Ok(Self::metrics_exposition()),
             (Method::Get, "/stats") => Ok(Self::stats_page()),
             (Method::Get, _) => Err(Response::error(Status::NotFound, "no such page")),
             _ => Err(Response::error(Status::NotFound, "no such action")),
         };
-        self.decorate_legacy(req, result.unwrap_or_else(|error| error))
-    }
-
-    /// The pre-v1 API routes and their v1 successors. They keep
-    /// answering (existing scripts and the demo UI depend on them) but
-    /// every response now advertises the deprecation and the counter
-    /// below measures remaining traffic.
-    pub(crate) const LEGACY_API_ROUTES: &'static [(&'static str, &'static str)] = &[
-        ("/api/library", "/api/v1/library"),
-        ("/api/element", "/api/v1/elements/{name}"),
-        ("/api/design", "/api/v1/designs/{user}/{name}"),
-        ("/api/lint", "/api/v1/designs/{user}/{name}/lint"),
-        ("/api/sweep", "/api/v1/designs/{user}/{name}/sweep"),
-        (
-            "/api/sensitivities",
-            "/api/v1/designs/{user}/{name}/sensitivities",
-        ),
-    ];
-
-    /// Applies the sunset switch to deprecated `/api/*` responses. The
-    /// per-route traffic counter counts in *every* mode — it is the
-    /// evidence for whether `off` is safe to flip — and the successor
-    /// `Link` rides on both the warning and the 410.
-    fn decorate_legacy(&self, req: &Request, mut response: Response) -> Response {
-        let Some((route, successor)) = Self::LEGACY_API_ROUTES
-            .iter()
-            .find(|(path, _)| *path == req.path())
-        else {
-            return response;
-        };
-        powerplay_telemetry::global()
-            .counter_with(
-                "powerplay_web_legacy_api_total",
-                &[("route", route)],
-                "Requests to deprecated pre-v1 API routes",
-            )
-            .inc();
-        let link = format!("<{successor}>; rel=\"successor-version\"");
-        match self.legacy_mode() {
-            LegacyMode::On => response,
-            LegacyMode::Warn => {
-                response.set_header("Deprecation", "true");
-                response.set_header("Link", &link);
-                response
-            }
-            LegacyMode::Off => {
-                let mut gone = Response::json_with_status(
-                    Status::Gone,
-                    Json::object([(
-                        "error",
-                        Json::object([
-                            ("code", Json::from("gone")),
-                            (
-                                "message",
-                                Json::from(format!(
-                                    "this deprecated route was sunset; use {successor}"
-                                )),
-                            ),
-                        ]),
-                    )])
-                    .to_string(),
-                );
-                gone.set_header("Deprecation", "true");
-                gone.set_header("Link", &link);
-                gone
-            }
-        }
+        result.unwrap_or_else(|error| error)
     }
 
     // --- helpers ---------------------------------------------------------
 
     fn bad(msg: impl std::fmt::Display) -> Response {
         Response::error(Status::BadRequest, &msg.to_string())
-    }
-
-    /// A 400 whose body is a machine-readable lint report — evaluation
-    /// failures answer with the same `{code, path, message}` shape the
-    /// static analyzer uses.
-    fn bad_play(err: &powerplay_sheet::EvaluateSheetError) -> Response {
-        let report: powerplay_lint::LintReport =
-            std::iter::once(powerplay_lint::diagnostic_for_play_error(err)).collect();
-        Response::json_with_status(Status::BadRequest, report.to_json().to_string())
     }
 
     fn user_of(req: &Request) -> Result<String, Response> {
@@ -631,7 +499,7 @@ or area (square metres), e.g. a DC-DC converter's load.</li>\
 to their own spreadsheets.</li>\
 <li><b>Re-use</b>: lump any design into a single macro; it appears in \
 the library and can be fetched by remote sites via \
-<code>/api/library</code>.</li>\
+<code>/api/v1/library</code>.</li>\
 </ol>\
 <h2>Defining models</h2>\
 <p>Use <i>Define a new model</i>: name, class, parameters \
@@ -690,7 +558,7 @@ errs conservatively high.</p>";
                 &format!("/model/new?user={}", encode(&user)),
                 "Define a new model"
             ),
-            api = html::link("/api/library", "Library as JSON (remote access)"),
+            api = html::link("/api/v1/library", "Library as JSON (remote access)"),
             help = html::link("/help", "Tutorial and help pages"),
             new_design = html::form(
                 "/design/new",
@@ -1597,157 +1465,7 @@ errs conservatively high.</p>";
         Response::html(html::page("PowerPlay Statistics", &body))
     }
 
-    // --- JSON API (remote model access, Figures 6-7) -------------------------
-
-    fn api_library(&self) -> Response {
-        Response::json(self.registry.read().to_json().to_string())
-    }
-
-    fn api_element(&self, req: &Request) -> Result<Response, Response> {
-        let name = req
-            .query_param("name")
-            .ok_or_else(|| Self::bad("missing `name`"))?;
-        let registry = self.registry.read();
-        let element = registry
-            .get(&name)
-            .ok_or_else(|| Response::error(Status::NotFound, "unknown element"))?;
-        Ok(Response::json(element.to_json().to_string()))
-    }
-
-    /// `/api/lint?user=&name=` — the static analyzer's report for a
-    /// stored design, as JSON.
-    fn api_lint_get(&self, req: &Request) -> Result<Response, Response> {
-        let user = Self::user_of(req)?;
-        let design = req
-            .query_param("name")
-            .ok_or_else(|| Self::bad("missing `name`"))?;
-        let (_, sheet) = self.load_design(&user, &design)?;
-        let report = powerplay_lint::lint_sheet(&sheet, &self.registry.read());
-        Ok(Response::json(report.to_json().to_string()))
-    }
-
-    /// `POST /api/lint` with a sheet JSON document as the body — lint a
-    /// design without saving it (editor integrations, CI).
-    fn api_lint_post(&self, req: &Request) -> Result<Response, Response> {
-        let text = String::from_utf8(req.body().to_vec())
-            .map_err(|_| Self::bad("body must be UTF-8 sheet JSON"))?;
-        let json = Json::parse(&text).map_err(Self::bad)?;
-        let sheet = Sheet::from_json(&json).map_err(Self::bad)?;
-        let report = powerplay_lint::lint_sheet(&sheet, &self.registry.read());
-        Ok(Response::json(report.to_json().to_string()))
-    }
-
-    /// `/api/sweep?user=&name=&global=vdd&values=1,1.5,2` — the what-if
-    /// machinery over the wire, for scripted exploration.
-    fn api_sweep(&self, req: &Request) -> Result<Response, Response> {
-        let user = Self::user_of(req)?;
-        let design = req
-            .query_param("name")
-            .ok_or_else(|| Self::bad("missing `name`"))?;
-        let global = req
-            .query_param("global")
-            .ok_or_else(|| Self::bad("missing `global`"))?;
-        let raw_values = req
-            .query_param("values")
-            .ok_or_else(|| Self::bad("missing `values`"))?;
-        let values: Vec<f64> = raw_values
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .map_err(|_| Self::bad(format!("bad value `{v}`")))
-            })
-            .collect::<Result<_, _>>()?;
-        let (rev, sheet) = self.load_design(&user, &design)?;
-        // The curve depends on the swept global and values as well as
-        // the design, so they are folded into the ETag; the plan cache
-        // itself is keyed on the stored revision alone, so a vdd sweep
-        // and an f sweep of one design share the compiled plan.
-        let key = self.stored_key(&user, &design, rev);
-        let extra = format!("sweep\u{0}{global}\u{0}{raw_values}");
-        let etag = PlanCache::etag(cache::fnv1a_continue(key, extra.as_bytes()));
-        if let Some(not_modified) = Self::not_modified(req, &etag) {
-            return Ok(not_modified);
-        }
-        let plan = self.plan_for(key, &sheet);
-        let curve = powerplay_sheet::whatif::sweep_compiled(&plan, &global, &values)
-            .map_err(|e| Self::bad_play(&e))?;
-        let series: Json = curve
-            .into_iter()
-            .map(|(value, report)| {
-                Json::object([
-                    ("value", Json::from(value)),
-                    ("total_w", Json::from(report.total_power().value())),
-                ])
-            })
-            .collect();
-        let mut response = Response::json(
-            Json::object([("global", Json::from(global)), ("series", series)]).to_string(),
-        );
-        response.set_header("ETag", &etag);
-        Ok(response)
-    }
-
-    /// `/api/sensitivities?user=&name=` — relative sensitivity of total
-    /// power to each global, descending by magnitude: the "where should
-    /// effort go" ranking, over the wire.
-    fn api_sensitivities(&self, req: &Request) -> Result<Response, Response> {
-        let user = Self::user_of(req)?;
-        let design = req
-            .query_param("name")
-            .ok_or_else(|| Self::bad("missing `name`"))?;
-        let (rev, sheet) = self.load_design(&user, &design)?;
-        let key = self.stored_key(&user, &design, rev);
-        let etag = PlanCache::etag(cache::fnv1a_continue(key, b"sensitivities"));
-        if let Some(not_modified) = Self::not_modified(req, &etag) {
-            return Ok(not_modified);
-        }
-        let plan = self.plan_for(key, &sheet);
-        let sens = powerplay_sheet::whatif::sensitivities_compiled(&plan)
-            .map_err(|e| Self::bad_play(&e))?;
-        let ranking: Json = sens
-            .into_iter()
-            .map(|(global, s)| {
-                Json::object([
-                    ("global", Json::from(global)),
-                    ("sensitivity", Json::from(s)),
-                ])
-            })
-            .collect();
-        let mut response = Response::json(Json::object([("sensitivities", ranking)]).to_string());
-        response.set_header("ETag", &etag);
-        Ok(response)
-    }
-
-    fn api_design(&self, req: &Request) -> Result<Response, Response> {
-        let user = Self::user_of(req)?;
-        let design = req
-            .query_param("name")
-            .ok_or_else(|| Self::bad("missing `name`"))?;
-        let (rev, sheet) = self.load_design(&user, &design)?;
-        // Stored designs key the cache by `(user, name, rev)` — no
-        // per-request serialization or hashing of the sheet JSON.
-        self.api_design_response(req, self.stored_key(&user, &design, rev), &sheet)
-    }
-
-    /// `POST /api/design` with a sheet JSON document as the body —
-    /// evaluate a design without saving it (scripted exploration, CI).
-    /// The body is canonicalized before hashing, so formatting
-    /// differences do not fragment the cache, and repeated posts of an
-    /// unchanged design answer from the cached result.
-    fn api_design_post(&self, req: &Request) -> Result<Response, Response> {
-        let text = String::from_utf8(req.body().to_vec())
-            .map_err(|_| Self::bad("body must be UTF-8 sheet JSON"))?;
-        let json = Json::parse(&text).map_err(Self::bad)?;
-        let sheet = Sheet::from_json(&json).map_err(Self::bad)?;
-        // An unsaved body has no revision; canonicalize and hash the
-        // content so formatting differences do not fragment the cache.
-        let key = PlanCache::key(
-            &sheet.to_json().to_string(),
-            self.registry.read().generation(),
-        );
-        self.api_design_response(req, key, &sheet)
-    }
+    // --- helpers shared with the v1 API ------------------------------------
 
     /// A `304 Not Modified` if the request's `If-None-Match` matches the
     /// ETag the response would carry.
@@ -1769,54 +1487,6 @@ errs conservatively high.</p>";
         });
         plan
     }
-
-    /// Shared by GET and POST `/api/design`: conditional-GET check,
-    /// then the cached body, then compile/replay and cache the result.
-    /// `key` is the plan-cache key the caller derived — revision-based
-    /// for stored designs, content-based for unsaved POST bodies.
-    fn api_design_response(
-        &self,
-        req: &Request,
-        key: u64,
-        sheet: &Sheet,
-    ) -> Result<Response, Response> {
-        let etag = PlanCache::etag(key);
-        if let Some(not_modified) = Self::not_modified(req, &etag) {
-            return Ok(not_modified);
-        }
-        if let Some(body) = self.plan_cache.cached_body(key) {
-            let mut response = Response::json(String::clone(&body));
-            response.set_header("ETag", &etag);
-            return Ok(response);
-        }
-        let plan = self.plan_for(key, sheet);
-        let report = plan.play().map_err(|e| Self::bad_play(&e))?;
-        let rows: Json = report
-            .rows()
-            .iter()
-            .map(|r| {
-                Json::object([
-                    ("name", Json::from(r.name())),
-                    ("power_w", Json::from(r.power().value())),
-                ])
-            })
-            .collect();
-        let body = Json::object([
-            ("design", sheet.to_json()),
-            (
-                "report",
-                Json::object([
-                    ("total_w", Json::from(report.total_power().value())),
-                    ("rows", rows),
-                ]),
-            ),
-        ])
-        .to_string();
-        self.plan_cache.store_body(key, Arc::new(body.clone()));
-        let mut response = Response::json(body);
-        response.set_header("ETag", &etag);
-        Ok(response)
-    }
 }
 
 #[cfg(test)]
@@ -1832,6 +1502,12 @@ mod tests {
 
     fn get(app: &PowerPlayApp, path: &str) -> Response {
         app.handle(&Request::new(Method::Get, path))
+    }
+
+    fn post_json(app: &PowerPlayApp, path: &str, body: &str) -> Response {
+        let mut req = Request::new(Method::Post, path);
+        req.set_body(body.as_bytes().to_vec(), "application/json");
+        app.handle(&req)
     }
 
     fn post(app: &PowerPlayApp, path: &str, form: &[(&str, &str)]) -> Response {
@@ -2101,12 +1777,12 @@ mod tests {
     #[test]
     fn api_endpoints_serve_json() {
         let app = app("api");
-        let lib = get(&app, "/api/library");
+        let lib = get(&app, "/api/v1/library");
         assert_eq!(lib.header("content-type"), Some("application/json"));
         let parsed = Json::parse(&lib.body_text()).unwrap();
         assert!(parsed.as_array().unwrap().len() > 20);
 
-        let elem = get(&app, "/api/element?name=ucb%2Fsram");
+        let elem = get(&app, "/api/v1/elements/ucb/sram");
         let parsed = Json::parse(&elem.body_text()).unwrap();
         assert_eq!(parsed["name"].as_str(), Some("ucb/sram"));
 
@@ -2121,7 +1797,7 @@ mod tests {
                 ("element", "ucb/register"),
             ],
         );
-        let design = get(&app, "/api/design?user=a&name=d");
+        let design = post_json(&app, "/api/v1/designs/a/d/play", "");
         let parsed = Json::parse(&design.body_text()).unwrap();
         assert!(parsed["report"]["total_w"].as_f64().unwrap() > 0.0);
         assert_eq!(parsed["report"]["rows"][0]["name"].as_str(), Some("R"));
@@ -2168,7 +1844,11 @@ mod tests {
                 ("element", "ucb/multiplier"),
             ],
         );
-        let r = get(&app, "/api/sweep?user=a&name=d&global=vdd&values=1,2");
+        let r = post_json(
+            &app,
+            "/api/v1/designs/a/d/sweep",
+            r#"{"global": "vdd", "values": [1, 2]}"#,
+        );
         assert_eq!(r.status(), Status::Ok, "{}", r.body_text());
         let parsed = Json::parse(&r.body_text()).unwrap();
         let series = parsed["series"].as_array().unwrap();
@@ -2177,7 +1857,11 @@ mod tests {
         let p2 = series[1]["total_w"].as_f64().unwrap();
         assert!((p2 / p1 - 4.0).abs() < 1e-9, "quadratic in vdd");
 
-        let bad = get(&app, "/api/sweep?user=a&name=d&global=vdd&values=x");
+        let bad = post_json(
+            &app,
+            "/api/v1/designs/a/d/sweep",
+            r#"{"global": "vdd", "values": ["x"]}"#,
+        );
         assert_eq!(bad.status(), Status::BadRequest);
     }
 
@@ -2195,7 +1879,7 @@ mod tests {
                 ("element", "ucb/multiplier"),
             ],
         );
-        let r = get(&app, "/api/sensitivities?user=a&name=d");
+        let r = post_json(&app, "/api/v1/designs/a/d/sensitivities", "");
         assert_eq!(r.status(), Status::Ok, "{}", r.body_text());
         let parsed = Json::parse(&r.body_text()).unwrap();
         let ranking = parsed["sensitivities"].as_array().unwrap();
@@ -2228,7 +1912,7 @@ mod tests {
     }
 
     #[test]
-    fn api_lint_get_reports_stored_design_diagnostics() {
+    fn api_lint_reports_stored_design_diagnostics() {
         let app = app("lintget");
         post(&app, "/design/new", &[("user", "a"), ("name", "d")]);
         post(
@@ -2242,10 +1926,10 @@ mod tests {
                 ("p_p_load", "P_missing_row"),
             ],
         );
-        let r = get(&app, "/api/lint?user=a&name=d");
+        let r = post_json(&app, "/api/v1/designs/a/d/lint", "");
         assert_eq!(r.status(), Status::Ok, "{}", r.body_text());
         assert_eq!(r.header("content-type"), Some("application/json"));
-        let parsed = Json::parse(&r.body_text()).unwrap();
+        let parsed = &Json::parse(&r.body_text()).unwrap()["lint"];
         assert!(parsed["errors"].as_f64().unwrap() >= 1.0);
         let diags = parsed["diagnostics"].as_array().unwrap();
         let e008 = diags
@@ -2264,18 +1948,15 @@ mod tests {
         sheet
             .add_element_row("A", "ucb/ripple_adder", [("bits", "nonsense_var")])
             .unwrap();
-        let mut req = Request::new(Method::Post, "/api/lint");
-        req.set_body(sheet.to_json().to_string().into_bytes(), "application/json");
-        let r = app.handle(&req);
+        let r = post_json(&app, "/api/v1/lint", &sheet.to_json().to_string());
         assert_eq!(r.status(), Status::Ok, "{}", r.body_text());
-        let parsed = Json::parse(&r.body_text()).unwrap();
+        let parsed = &Json::parse(&r.body_text()).unwrap()["lint"];
         let diags = parsed["diagnostics"].as_array().unwrap();
         assert!(diags.iter().any(|d| d["code"].as_str() == Some("E001")
             && d["message"].as_str().unwrap_or("").contains("nonsense_var")));
 
-        let mut bad = Request::new(Method::Post, "/api/lint");
-        bad.set_body(b"not json".to_vec(), "application/json");
-        assert_eq!(app.handle(&bad).status(), Status::BadRequest);
+        let bad = post_json(&app, "/api/v1/lint", "not json");
+        assert_eq!(bad.status(), Status::BadRequest);
     }
 
     #[test]
@@ -2338,10 +2019,12 @@ mod tests {
                 ("p_p_load", "P_missing_row"),
             ],
         );
-        let r = get(&app, "/api/design?user=a&name=d");
+        let r = post_json(&app, "/api/v1/designs/a/d/play", "");
         assert_eq!(r.status(), Status::BadRequest, "{}", r.body_text());
         assert_eq!(r.header("content-type"), Some("application/json"));
-        let parsed = Json::parse(&r.body_text()).unwrap();
+        let parsed = &Json::parse(&r.body_text()).unwrap()["error"];
+        assert_eq!(parsed["code"].as_str(), Some("evaluation_failed"));
+        let parsed = &parsed["diagnostics"];
         assert_eq!(
             parsed["diagnostics"][0]["code"].as_str(),
             Some("E001"),
@@ -2354,15 +2037,24 @@ mod tests {
         );
 
         // Sweep over the same broken design: also structured.
-        let r = get(&app, "/api/sweep?user=a&name=d&global=vdd&values=1,2");
+        let r = post_json(
+            &app,
+            "/api/v1/designs/a/d/sweep",
+            r#"{"global": "vdd", "values": [1, 2]}"#,
+        );
         assert_eq!(r.status(), Status::BadRequest);
         let parsed = Json::parse(&r.body_text()).unwrap();
-        assert_eq!(parsed["diagnostics"][0]["code"].as_str(), Some("E001"));
+        assert_eq!(
+            parsed["error"]["diagnostics"]["diagnostics"][0]["code"].as_str(),
+            Some("E001")
+        );
 
-        // Malformed query parameters stay plain-text 400s.
-        let r = get(&app, "/api/sweep?user=a&name=d&global=vdd&values=x");
+        // A malformed body is an envelope without diagnostics.
+        let r = post_json(&app, "/api/v1/designs/a/d/sweep", r#"{"global": "vdd"}"#);
         assert_eq!(r.status(), Status::BadRequest);
-        assert_ne!(r.header("content-type"), Some("application/json"));
+        let parsed = Json::parse(&r.body_text()).unwrap();
+        assert_eq!(parsed["error"]["code"].as_str(), Some("invalid_body"));
+        assert!(parsed["error"].get("diagnostics").is_none());
     }
 
     #[test]
@@ -2379,15 +2071,12 @@ mod tests {
                 ("element", "ucb/register"),
             ],
         );
-        let first = get(&app, "/api/design?user=a&name=d");
+        let first = get(&app, "/api/v1/designs/a/d");
         assert_eq!(first.status(), Status::Ok);
-        let etag = first
-            .header("etag")
-            .expect("ETag on /api/design")
-            .to_owned();
+        let etag = first.header("etag").expect("ETag on the design").to_owned();
 
         // Conditional GET with the matching tag → 304, empty body.
-        let mut conditional = Request::new(Method::Get, "/api/design?user=a&name=d");
+        let mut conditional = Request::new(Method::Get, "/api/v1/designs/a/d");
         conditional.set_header("If-None-Match", &etag);
         let r = app.handle(&conditional);
         assert_eq!(r.status(), Status::NotModified);
@@ -2411,7 +2100,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_api_design_hits_the_plan_cache() {
+    fn repeated_play_hits_the_plan_cache() {
         let app = app("plancache");
         post(&app, "/design/new", &[("user", "a"), ("name", "d")]);
         post(
@@ -2424,13 +2113,13 @@ mod tests {
                 ("element", "ucb/register"),
             ],
         );
-        let first = get(&app, "/api/design?user=a&name=d");
+        let first = post_json(&app, "/api/v1/designs/a/d/play", "");
         assert_eq!(first.status(), Status::Ok);
         // Counters are process-global and tests run in parallel, so
         // assert monotonic growth of hits across repeats.
         let metrics_before = get(&app, "/metrics").body_text();
         let hits_before = prom_value(&metrics_before, "powerplay_web_plan_cache_hits_total");
-        let second = get(&app, "/api/design?user=a&name=d");
+        let second = post_json(&app, "/api/v1/designs/a/d/play", "");
         assert_eq!(second.status(), Status::Ok);
         assert_eq!(second.body_text(), first.body_text());
         let metrics_after = get(&app, "/metrics").body_text();
@@ -2439,7 +2128,7 @@ mod tests {
     }
 
     #[test]
-    fn post_api_design_evaluates_and_caches_unsaved_sheets() {
+    fn posted_play_evaluates_and_caches_unsaved_sheets() {
         let app = app("postdesign");
         let mut sheet = Sheet::new("scratch");
         sheet.set_global("vdd", "1.5").unwrap();
@@ -2448,53 +2137,52 @@ mod tests {
             .add_element_row("R", "ucb/register", [("bits", "16")])
             .unwrap();
         let body = sheet.to_json().to_string();
-        let send = || {
-            let mut req = Request::new(Method::Post, "/api/design");
-            req.set_body(body.clone().into_bytes(), "application/json");
-            app.handle(&req)
-        };
+        let send = || post_json(&app, "/api/v1/play", &body);
         let first = send();
         assert_eq!(first.status(), Status::Ok, "{}", first.body_text());
         let parsed = Json::parse(&first.body_text()).unwrap();
         assert!(parsed["report"]["total_w"].as_f64().unwrap() > 0.0);
-        assert!(first.header("etag").is_some());
 
-        // A repeat of the identical design answers from the cache:
-        // byte-identical body, same tag, hits counter grows.
+        // A repeat of the identical design answers from the cached plan:
+        // byte-identical body, hits counter grows.
         let metrics_before = get(&app, "/metrics").body_text();
         let hits_before = prom_value(&metrics_before, "powerplay_web_plan_cache_hits_total");
         let second = send();
         assert_eq!(second.body_text(), first.body_text());
-        assert_eq!(second.header("etag"), first.header("etag"));
         let metrics_after = get(&app, "/metrics").body_text();
         let hits_after = prom_value(&metrics_after, "powerplay_web_plan_cache_hits_total");
         assert!(hits_after > hits_before);
 
+        // Formatting does not fragment the cache: the body is
+        // canonicalized before hashing.
+        let pretty = sheet.to_json().to_pretty();
+        assert_ne!(pretty, body);
+        let third = post_json(&app, "/api/v1/play", &pretty);
+        assert_eq!(third.body_text(), first.body_text());
+        let metrics_last = get(&app, "/metrics").body_text();
+        let hits_last = prom_value(&metrics_last, "powerplay_web_plan_cache_hits_total");
+        assert!(hits_last > hits_after);
+
         // Malformed bodies are clean 400s.
-        let mut bad = Request::new(Method::Post, "/api/design");
-        bad.set_body(b"not json".to_vec(), "application/json");
-        assert_eq!(app.handle(&bad).status(), Status::BadRequest);
+        let bad = post_json(&app, "/api/v1/play", "not json");
+        assert_eq!(bad.status(), Status::BadRequest);
     }
 
     #[test]
     fn library_edits_invalidate_cached_designs() {
         let app = app("geninval");
-        post(&app, "/design/new", &[("user", "a"), ("name", "d")]);
-        post(
-            &app,
-            "/design/add_row",
-            &[
-                ("user", "a"),
-                ("design", "d"),
-                ("row_name", "R"),
-                ("element", "ucb/register"),
-            ],
-        );
-        let first = get(&app, "/api/design?user=a&name=d");
-        let etag = first.header("etag").unwrap().to_owned();
-        // Adding a model bumps the registry generation, so the same
-        // design gets a fresh key (the old plan may be stale: the new
-        // model could shadow one the design uses).
+        // The design uses a model nobody has defined yet, so it plays to
+        // an error and the failing plan is cached.
+        let mut sheet = Sheet::new("d");
+        sheet.set_global("vdd", "1.5").unwrap();
+        sheet.set_global("f", "2e6").unwrap();
+        sheet.add_element_row("B", "carol/bump", []).unwrap();
+        app.store.save("a", "d", &sheet, None).unwrap();
+        let first = post_json(&app, "/api/v1/designs/a/d/play", "");
+        assert_eq!(first.status(), Status::BadRequest, "{}", first.body_text());
+        // Adding the model bumps the registry generation, so the same
+        // revision gets a fresh key and the next play compiles against
+        // the new library.
         post(
             &app,
             "/model/new",
@@ -2505,45 +2193,10 @@ mod tests {
                 ("cap_full", "10f"),
             ],
         );
-        let second = get(&app, "/api/design?user=a&name=d");
-        assert_ne!(second.header("etag"), Some(etag.as_str()));
-    }
-
-    #[test]
-    fn api_sweep_and_sensitivities_carry_etags() {
-        let app = app("sweepetag");
-        post(&app, "/design/new", &[("user", "a"), ("name", "d")]);
-        post(
-            &app,
-            "/design/add_row",
-            &[
-                ("user", "a"),
-                ("design", "d"),
-                ("row_name", "M"),
-                ("element", "ucb/multiplier"),
-            ],
-        );
-        let sweep = get(&app, "/api/sweep?user=a&name=d&global=vdd&values=1,2");
-        let sweep_tag = sweep.header("etag").expect("ETag on sweep").to_owned();
-        // Different values → different tag; same query → 304.
-        let other = get(&app, "/api/sweep?user=a&name=d&global=vdd&values=1,3");
-        assert_ne!(other.header("etag"), Some(sweep_tag.as_str()));
-        let mut conditional = Request::new(
-            Method::Get,
-            "/api/sweep?user=a&name=d&global=vdd&values=1,2",
-        );
-        conditional.set_header("If-None-Match", &sweep_tag);
-        assert_eq!(app.handle(&conditional).status(), Status::NotModified);
-
-        let sens = get(&app, "/api/sensitivities?user=a&name=d");
-        let sens_tag = sens
-            .header("etag")
-            .expect("ETag on sensitivities")
-            .to_owned();
-        assert_ne!(sens_tag, sweep_tag);
-        let mut conditional = Request::new(Method::Get, "/api/sensitivities?user=a&name=d");
-        conditional.set_header("If-None-Match", &sens_tag);
-        assert_eq!(app.handle(&conditional).status(), Status::NotModified);
+        let second = post_json(&app, "/api/v1/designs/a/d/play", "");
+        assert_eq!(second.status(), Status::Ok, "{}", second.body_text());
+        let parsed = Json::parse(&second.body_text()).unwrap();
+        assert!(parsed["report"]["total_w"].as_f64().unwrap() > 0.0);
     }
 
     /// The current value of an unlabelled counter in a Prometheus text
@@ -2561,7 +2214,7 @@ mod tests {
     fn metrics_endpoint_speaks_prometheus() {
         let app = app("metrics");
         // Generate some traffic first so the families have data.
-        get(&app, "/api/library");
+        get(&app, "/api/v1/library");
         get(&app, "/nonsense");
         let r = get(&app, "/metrics");
         assert_eq!(r.status(), Status::Ok);
@@ -2586,7 +2239,7 @@ mod tests {
         let app = app("middleware");
         let before_ok = http_metrics().requests_2xx.get();
         let before_bad = http_metrics().requests_4xx.get();
-        get(&app, "/api/library");
+        get(&app, "/api/v1/library");
         get(&app, "/nonsense");
         // Counters are process-global and other tests run in parallel,
         // so assert monotonic growth rather than exact deltas.
@@ -2598,7 +2251,7 @@ mod tests {
     #[test]
     fn stats_page_renders_registry_series() {
         let app = app("stats");
-        get(&app, "/api/library");
+        get(&app, "/api/v1/library");
         let r = get(&app, "/stats");
         assert_eq!(r.status(), Status::Ok);
         let body = r.body_text();
@@ -2655,5 +2308,27 @@ mod tests {
         let app = app("404");
         assert_eq!(get(&app, "/nonsense").status(), Status::NotFound);
         assert_eq!(post(&app, "/also/nonsense", &[]).status(), Status::NotFound);
+    }
+
+    #[test]
+    fn removed_pre_v1_routes_answer_404() {
+        let app = app("pre-v1");
+        post(&app, "/design/new", &[("user", "a"), ("name", "d")]);
+        for path in [
+            "/api/library",
+            "/api/element?name=ucb%2Fsram",
+            "/api/design?user=a&name=d",
+            "/api/lint?user=a&name=d",
+            "/api/sweep?user=a&name=d&global=vdd&values=1,2",
+            "/api/sensitivities?user=a&name=d",
+        ] {
+            let r = get(&app, path);
+            assert_eq!(r.status(), Status::NotFound, "GET {path}");
+            assert!(r.header("deprecation").is_none());
+        }
+        for path in ["/api/design", "/api/lint"] {
+            let r = post_json(&app, path, "{}");
+            assert_eq!(r.status(), Status::NotFound, "POST {path}");
+        }
     }
 }

@@ -4,10 +4,12 @@
 //! request; the modern engine compiles once and replays, so the web
 //! layer keeps a small LRU of compiled plans keyed by the *content* of
 //! the design (a 64-bit FNV-1a hash of its canonical JSON) plus the
-//! library registry's generation counter. Repeated `/api/design`,
-//! `/api/sweep` and `/api/sensitivities` requests for an unchanged
-//! design skip compilation entirely, and the key doubles as the `ETag`
-//! for conditional GETs (`If-None-Match` → `304 Not Modified`).
+//! library registry's generation counter (stored designs key by
+//! `(user, name, rev)` instead, see [`PlanCache::rev_key`]). Repeated
+//! play, sweep, sensitivity and analyze requests for an unchanged
+//! design skip compilation entirely. Beside each plan the cache can
+//! keep one serialized response body for a resource that is pure in
+//! the key, so such a request skips the work as well.
 //!
 //! Hit/miss/eviction counters and a size gauge are exported under
 //! `powerplay_web_plan_cache_*` on `/metrics`.
@@ -77,13 +79,10 @@ struct Entry {
     /// the imported-library detail view cache a serialized body keyed
     /// by `(rev, generation)` without ever compiling a sheet).
     plan: Option<Arc<CompiledSheet>>,
-    /// The serialized `/api/design` success body, kept beside the plan
-    /// so an unchanged design answers without replaying at all.
-    body: Option<Arc<String>>,
     /// The serialized body of a pure-in-`(rev, generation)` derived
     /// resource (`/analyze`, library detail) — one per cached entry
     /// suffices because the inputs are immutable at a given key.
-    analysis: Option<Arc<String>>,
+    body: Option<Arc<String>>,
     /// Last-touch tick for LRU eviction.
     tick: u64,
 }
@@ -93,8 +92,8 @@ struct Inner {
     tick: u64,
 }
 
-/// A bounded LRU of compiled evaluation plans (and, for `/api/design`,
-/// their last successful response body), keyed by design content hash.
+/// A bounded LRU of compiled evaluation plans (and, per entry, one
+/// derived response body), keyed by design content hash or revision.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -139,12 +138,6 @@ impl PlanCache {
         fnv1a_continue(hash, &generation.to_le_bytes())
     }
 
-    /// The strong `ETag` a key renders as.
-    #[must_use]
-    pub fn etag(key: u64) -> String {
-        format!("\"{key:016x}\"")
-    }
-
     /// Returns the cached plan for `key`, or compiles one with `compile`
     /// and caches it. The second element reports whether it was a hit.
     /// Compilation runs outside the cache lock, so a slow compile never
@@ -176,7 +169,6 @@ impl PlanCache {
         let entry = inner.entries.entry(key).or_insert(Entry {
             plan: None,
             body: None,
-            analysis: None,
             tick,
         });
         entry.tick = tick;
@@ -189,10 +181,10 @@ impl PlanCache {
         (plan, false)
     }
 
-    /// The cached `/api/design` body for `key`, if a successful response
-    /// was stored since the entry was created. Counts as a cache hit
-    /// when present (a miss here falls through to [`Self::plan_for`],
-    /// which does the hit/miss accounting for the plan lookup).
+    /// The cached derived-resource body for `key`, if one was stored
+    /// since the entry was created. Counts as a cache hit when present
+    /// (a miss here falls through to the caller's build, which does its
+    /// own plan lookup and accounting).
     #[must_use]
     pub fn cached_body(&self, key: u64) -> Option<Arc<String>> {
         let mut inner = self.inner.lock();
@@ -207,48 +199,21 @@ impl PlanCache {
         body
     }
 
-    /// Stores a successful `/api/design` body beside the plan for `key`.
-    /// A no-op if the entry was evicted in the meantime.
-    pub fn store_body(&self, key: u64, body: Arc<String>) {
-        let mut inner = self.inner.lock();
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            entry.body = Some(body);
-        }
-    }
-
-    /// The cached analyze-endpoint body for `key`, if an analysis was
-    /// stored since the entry was created. Hit/miss accounting matches
-    /// [`Self::cached_body`].
-    #[must_use]
-    pub fn cached_analysis(&self, key: u64) -> Option<Arc<String>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.entries.get_mut(&key)?;
-        entry.tick = tick;
-        let analysis = entry.analysis.clone();
-        if analysis.is_some() {
-            cache_metrics().hits.inc();
-        }
-        analysis
-    }
-
     /// Stores a derived-resource body for `key`, creating a body-only
     /// entry (no compiled plan) if the key is not cached yet — resources
     /// like the library detail view never compile a sheet but still
     /// want per-`(rev, generation)` body caching.
-    pub fn store_analysis(&self, key: u64, body: Arc<String>) {
+    pub fn store_body(&self, key: u64, body: Arc<String>) {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.entries.entry(key).or_insert(Entry {
             plan: None,
             body: None,
-            analysis: None,
             tick,
         });
         entry.tick = tick;
-        entry.analysis = Some(body);
+        entry.body = Some(body);
         Self::evict(&mut inner, self.capacity);
         cache_metrics().size.set(inner.entries.len() as i64);
     }
@@ -337,40 +302,24 @@ mod tests {
         let cache = PlanCache::new(1);
         cache.plan_for(1, plan);
         assert!(cache.cached_body(1).is_none());
-        cache.store_body(1, Arc::new("{\"x\":1}".to_owned()));
+        cache.store_body(1, Arc::new("{\"bounds\":1}".to_owned()));
         assert_eq!(
             cache.cached_body(1).as_deref().map(String::as_str),
-            Some("{\"x\":1}")
-        );
-        cache.plan_for(2, plan); // capacity 1 → evicts 1
-        assert!(cache.cached_body(1).is_none());
-    }
-
-    #[test]
-    fn analysis_body_rides_along_independently() {
-        let cache = PlanCache::new(1);
-        cache.plan_for(1, plan);
-        cache.store_body(1, Arc::new("{\"report\":1}".to_owned()));
-        assert!(cache.cached_analysis(1).is_none(), "bodies are separate");
-        cache.store_analysis(1, Arc::new("{\"bounds\":1}".to_owned()));
-        assert_eq!(
-            cache.cached_analysis(1).as_deref().map(String::as_str),
             Some("{\"bounds\":1}")
         );
-        assert_eq!(
-            cache.cached_body(1).as_deref().map(String::as_str),
-            Some("{\"report\":1}")
-        );
-        cache.plan_for(2, plan); // evicts 1 and both bodies
-        assert!(cache.cached_analysis(1).is_none());
+        // Storing a body keeps the plan: the next lookup still hits.
+        let (_, hit) = cache.plan_for(1, || panic!("plan kept beside the body"));
+        assert!(hit);
+        cache.plan_for(2, plan); // capacity 1 → evicts 1 and its body
+        assert!(cache.cached_body(1).is_none());
     }
 
     #[test]
     fn body_only_entry_caches_without_a_plan() {
         let cache = PlanCache::new(2);
-        cache.store_analysis(9, Arc::new("{\"detail\":1}".to_owned()));
+        cache.store_body(9, Arc::new("{\"detail\":1}".to_owned()));
         assert_eq!(
-            cache.cached_analysis(9).as_deref().map(String::as_str),
+            cache.cached_body(9).as_deref().map(String::as_str),
             Some("{\"detail\":1}")
         );
         // A later plan_for on the same key compiles once, keeps the body,
@@ -379,15 +328,10 @@ mod tests {
         assert!(!hit, "no plan existed yet");
         let (_, hit) = cache.plan_for(9, || panic!("plan now cached"));
         assert!(hit);
-        assert!(cache.cached_analysis(9).is_some());
+        assert!(cache.cached_body(9).is_some());
         // Body-only entries are subject to LRU eviction like any other.
-        cache.store_analysis(10, Arc::new("a".to_owned()));
-        cache.store_analysis(11, Arc::new("b".to_owned()));
-        assert!(cache.cached_analysis(9).is_none(), "9 was the coldest");
-    }
-
-    #[test]
-    fn etag_is_a_quoted_hex_key() {
-        assert_eq!(PlanCache::etag(0xab), "\"00000000000000ab\"");
+        cache.store_body(10, Arc::new("a".to_owned()));
+        cache.store_body(11, Arc::new("b".to_owned()));
+        assert!(cache.cached_body(9).is_none(), "9 was the coldest");
     }
 }

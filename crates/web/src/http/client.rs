@@ -103,7 +103,7 @@ impl Error for ClientError {}
 /// responses.
 ///
 /// ```no_run
-/// let response = powerplay_web::http::http_get("http://127.0.0.1:8096/api/library")?;
+/// let response = powerplay_web::http::http_get("http://127.0.0.1:8096/api/v1/library")?;
 /// assert!(response.body_text().starts_with('['));
 /// # Ok::<(), powerplay_web::http::ClientError>(())
 /// ```
@@ -258,7 +258,6 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ClientError
         405 => Status::MethodNotAllowed,
         408 => Status::RequestTimeout,
         409 => Status::Conflict,
-        410 => Status::Gone,
         413 => Status::PayloadTooLarge,
         428 => Status::PreconditionRequired,
         431 => Status::RequestHeaderFieldsTooLarge,

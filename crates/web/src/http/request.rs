@@ -546,12 +546,12 @@ mod tests {
 
     #[test]
     fn client_serialization_roundtrips() {
-        let mut req = Request::new(Method::Post, "/api/element?name=x");
+        let mut req = Request::new(Method::Post, "/element/eval?name=x");
         req.set_body(b"{\"a\":1}".to_vec(), "application/json");
         let bytes = req.to_bytes("example.org", false);
         let parsed = Request::read_from(&mut BufReader::new(bytes.as_slice())).unwrap();
         assert_eq!(parsed.method(), Method::Post);
-        assert_eq!(parsed.path(), "/api/element");
+        assert_eq!(parsed.path(), "/element/eval");
         assert_eq!(parsed.query_param("name").as_deref(), Some("x"));
         assert_eq!(parsed.body(), b"{\"a\":1}");
         assert_eq!(parsed.header("content-type"), Some("application/json"));

@@ -29,8 +29,6 @@ pub enum Status {
     RequestTimeout,
     /// 409 (stale `If-Match` revision on a PUT — optimistic concurrency)
     Conflict,
-    /// 410 (a sunset legacy route; the `Link` header names the successor)
-    Gone,
     /// 413 (body over the server's size limit)
     PayloadTooLarge,
     /// 428 (a PUT over an existing design without `If-Match`)
@@ -57,7 +55,6 @@ impl Status {
             Status::MethodNotAllowed => 405,
             Status::RequestTimeout => 408,
             Status::Conflict => 409,
-            Status::Gone => 410,
             Status::PayloadTooLarge => 413,
             Status::PreconditionRequired => 428,
             Status::RequestHeaderFieldsTooLarge => 431,
@@ -79,7 +76,6 @@ impl Status {
             Status::MethodNotAllowed => "Method Not Allowed",
             Status::RequestTimeout => "Request Timeout",
             Status::Conflict => "Conflict",
-            Status::Gone => "Gone",
             Status::PayloadTooLarge => "Payload Too Large",
             Status::PreconditionRequired => "Precondition Required",
             Status::RequestHeaderFieldsTooLarge => "Request Header Fields Too Large",
@@ -337,8 +333,6 @@ mod tests {
         assert_eq!(Status::RequestTimeout.code(), 408);
         assert_eq!(Status::RequestTimeout.reason(), "Request Timeout");
         assert_eq!(Status::Conflict.code(), 409);
-        assert_eq!(Status::Gone.code(), 410);
-        assert_eq!(Status::Gone.reason(), "Gone");
         assert_eq!(Status::PreconditionRequired.code(), 428);
         assert_eq!(Status::Found.reason(), "Found");
         assert_eq!(Status::PayloadTooLarge.code(), 413);

@@ -5,8 +5,8 @@
 //! moved models over SMTP between per-machine hubs; the paper replaces it
 //! with HTTP requests against scripts at fixed URLs. Here, any
 //! [`PowerPlayApp`](crate::app::PowerPlayApp) exposes its registry at
-//! `/api/library` and `/api/element`, and these helpers fetch and merge
-//! remote models into a local registry.
+//! `/api/v1/library` and `/api/v1/elements/{name}`, and these helpers
+//! fetch and merge remote models into a local registry.
 
 use std::error::Error;
 use std::fmt;
@@ -60,8 +60,11 @@ impl Error for FetchError {
 ///
 /// Returns [`FetchError`] on transport, status, or decode failure.
 pub fn fetch_library(base_url: &str) -> Result<Registry, FetchError> {
-    let response = http_get(&format!("{}/api/library", base_url.trim_end_matches('/')))
-        .map_err(FetchError::Transport)?;
+    let response = http_get(&format!(
+        "{}/api/v1/library",
+        base_url.trim_end_matches('/')
+    ))
+    .map_err(FetchError::Transport)?;
     if response.status() != Status::Ok {
         return Err(FetchError::Status(response.status().code()));
     }
@@ -76,8 +79,10 @@ pub fn fetch_library(base_url: &str) -> Result<Registry, FetchError> {
 ///
 /// Returns [`FetchError`] on transport, status, or decode failure.
 pub fn fetch_element(base_url: &str, name: &str) -> Result<LibraryElement, FetchError> {
+    // The server percent-decodes the path before splitting it, so an
+    // encoded `/` inside the name still reaches the element route.
     let url = format!(
-        "{}/api/element?name={}",
+        "{}/api/v1/elements/{}",
         base_url.trim_end_matches('/'),
         crate::http::urlencoded::encode(name),
     );

@@ -76,12 +76,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let private_srv = private.serve("127.0.0.1:0")?;
     let base = format!("http://{}", private_srv.addr());
-    let denied = http_get(&format!("{base}/api/library"))?;
+    let denied = http_get(&format!("{base}/api/v1/library"))?;
     println!(
         "\nprivate instance without credentials: HTTP {}",
         denied.status().code()
     );
-    let allowed = http_get_basic_auth(&format!("{base}/api/library"), "corp", "s3cret")?;
+    let allowed = http_get_basic_auth(&format!("{base}/api/v1/library"), "corp", "s3cret")?;
     assert_eq!(allowed.status(), Status::Ok);
     println!(
         "private instance with credentials:  HTTP {}",

@@ -122,11 +122,7 @@ USAGE:
   powerplay-cli serve [addr] [--seed-demo] [--data-dir <dir>]
                      [--workers <n>] [--queue <n>] [--max-conns <n>]
                      [--read-timeout-ms <ms>] [--write-timeout-ms <ms>]
-                     [--legacy-api on|warn|off]
-                                            run the web application;
-                                            --legacy-api warns on (default),
-                                            silences, or sunsets (410) the
-                                            pre-v1 /api/* routes
+                                            run the web application
   powerplay-cli designs [--data-dir <dir>] [<user> [<design>]]
                                             inspect the durable design store
                                             (also lists imported libraries)
@@ -613,7 +609,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut seed_demo = false;
     let mut data_dir = std::env::temp_dir().join("powerplay-cli-www");
     let mut config = powerplay_web::http::ServerConfig::default();
-    let mut legacy = powerplay_web::app::LegacyMode::Warn;
     fn flag_value<T: std::str::FromStr>(
         it: &mut std::slice::Iter<'_, String>,
         flag: &str,
@@ -641,16 +636,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 config.write_timeout =
                     std::time::Duration::from_millis(flag_value(&mut it, "--write-timeout-ms")?);
             }
-            "--legacy-api" => {
-                let value = it.next().ok_or("--legacy-api needs a value")?;
-                legacy = powerplay_web::app::LegacyMode::parse(value)
-                    .ok_or_else(|| format!("--legacy-api needs on, warn or off, got `{value}`"))?;
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "usage: unknown flag `{flag}` for serve (try `help`)"
+                ));
             }
             other => addr = other.to_owned(),
         }
     }
     let app = powerplay_web::app::PowerPlayApp::new(ucb_library(), data_dir);
-    app.set_legacy_mode(legacy);
     if seed_demo {
         // The paper's worked examples, saved for user `demo` so smoke
         // tests (and first-time visitors) have designs to play with.

@@ -301,3 +301,36 @@ fn lint_and_analyze_share_the_exit_code_contract() {
     );
     assert_eq!(cli(&["lint", clean, "--bogus"]).status.code(), Some(2));
 }
+
+#[test]
+fn serve_rejects_unknown_flags_before_binding() {
+    let data_dir =
+        std::env::temp_dir().join(format!("powerplay-cli-serve-flag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_powerplay-cli"))
+        .args(["serve", "127.0.0.1:0", "--data-dir"])
+        .arg(&data_dir)
+        .arg("--bogus")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn powerplay-cli");
+    // A server that started would never exit on its own.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().expect("poll child").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("`serve --bogus` started a server");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect output");
+    assert_eq!(out.status.code(), Some(2), "a bad flag is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--bogus"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("serving at"));
+    assert!(
+        !data_dir.exists(),
+        "no store may be opened before the flags parse"
+    );
+}

@@ -1,9 +1,9 @@
-//! Regression test for the ETag weakness the v1 redesign fixed: a
-//! conditional GET of an unchanged stored design must answer `304 Not
-//! Modified` without recompiling — and, since the tag now comes from
-//! the store revision, without serializing or hashing the design at
-//! all. The proof is the plan-cache miss counter: it must not move
-//! across the conditional requests.
+//! Regression test for the revision ETag: a conditional GET of an
+//! unchanged stored design must answer `304 Not Modified` without
+//! recompiling — and, since the tag comes from the store revision,
+//! without serializing or hashing the design at all. The proof is the
+//! plan-cache miss counter: it must not move across the conditional
+//! requests.
 //!
 //! This lives alone in its own integration binary because the cache
 //! counters are process-global; a single `#[test]` makes the
@@ -42,21 +42,26 @@ fn conditional_gets_neither_recompile_nor_rehash() {
     };
     let misses = |exposition: &str| prom_value(exposition, "powerplay_web_plan_cache_misses_total");
 
-    // First legacy GET compiles once (one miss) and yields the tag.
-    let first = app.handle(&Request::new(Method::Get, "/api/design?user=a&name=d"));
+    // Playing the design compiles it (at least one miss), and the
+    // resource is revision-tagged.
+    let played = app.handle(&Request::new(Method::Post, "/api/v1/designs/a/d/play"));
+    assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
+    let first = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
     assert_eq!(first.status(), Status::Ok, "{}", first.body_text());
-    let legacy_tag = first.header("etag").expect("legacy ETag").to_owned();
+    let tag = first.header("etag").expect("revision ETag").to_owned();
+    assert_eq!(tag, "\"1\"");
     let baseline = misses(&metrics(&app));
     assert!(baseline >= 1.0);
 
-    // Conditional legacy GETs revalidate from the store revision: no
-    // new misses (no recompile), and in fact no cache traffic at all.
+    // Conditional GETs revalidate from the store revision: no new
+    // misses (no recompile), and in fact no cache traffic at all.
     for _ in 0..3 {
-        let mut conditional = Request::new(Method::Get, "/api/design?user=a&name=d");
-        conditional.set_header("If-None-Match", &legacy_tag);
+        let mut conditional = Request::new(Method::Get, "/api/v1/designs/a/d");
+        conditional.set_header("If-None-Match", &tag);
         let r = app.handle(&conditional);
         assert_eq!(r.status(), Status::NotModified);
         assert!(r.body().is_empty());
+        assert_eq!(r.header("etag"), Some(tag.as_str()));
     }
     assert_eq!(
         misses(&metrics(&app)),
@@ -64,23 +69,11 @@ fn conditional_gets_neither_recompile_nor_rehash() {
         "a 304 must not recompile the design"
     );
 
-    // The v1 resource is revision-tagged directly.
-    let v1 = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
-    assert_eq!(v1.status(), Status::Ok);
-    assert_eq!(v1.header("etag"), Some("\"1\""));
-    let mut conditional = Request::new(Method::Get, "/api/v1/designs/a/d");
-    conditional.set_header("If-None-Match", "\"1\"");
-    assert_eq!(app.handle(&conditional).status(), Status::NotModified);
-    assert_eq!(
-        misses(&metrics(&app)),
-        baseline,
-        "v1 conditional GETs never touch the plan cache"
-    );
-
-    // A new revision invalidates both surfaces.
+    // A new revision invalidates the tag: the stale one refetches.
     app.store().save("a", "d", &sheet, None).unwrap();
-    let refreshed = app.handle(&Request::new(Method::Get, "/api/design?user=a&name=d"));
-    assert_ne!(refreshed.header("etag"), Some(legacy_tag.as_str()));
-    let v1 = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
-    assert_eq!(v1.header("etag"), Some("\"2\""));
+    let mut stale = Request::new(Method::Get, "/api/v1/designs/a/d");
+    stale.set_header("If-None-Match", &tag);
+    let refreshed = app.handle(&stale);
+    assert_eq!(refreshed.status(), Status::Ok);
+    assert_eq!(refreshed.header("etag"), Some("\"2\""));
 }

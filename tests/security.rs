@@ -40,7 +40,7 @@ fn password_protected_instance_rejects_anonymous_requests() {
     let ok = http_get_basic_auth(&format!("{base}/library?user=x"), "lidsky", "infopad").unwrap();
     assert_eq!(ok.status(), Status::Ok);
     assert!(ok.body_text().contains("ucb/multiplier"));
-    let api = http_get_basic_auth(&format!("{base}/api/library"), "lidsky", "infopad").unwrap();
+    let api = http_get_basic_auth(&format!("{base}/api/v1/library"), "lidsky", "infopad").unwrap();
     assert_eq!(api.status(), Status::Ok);
 }
 

@@ -1,7 +1,8 @@
 //! Telemetry smoke test: boot the real socket server, play the paper's
-//! InfoPad design through `/api/design`, then scrape `/metrics` and
-//! check the exposition reflects the traffic — the same sequence the CI
-//! smoke job runs against the release binary with curl.
+//! InfoPad design through `POST /api/v1/designs/{user}/{name}/play`,
+//! then scrape `/metrics` and check the exposition reflects the traffic
+//! — the same sequence the CI smoke job runs against the release binary
+//! with curl.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use std::sync::Arc;
 use powerplay::{ucb_library, Sheet};
 use powerplay_json::Json;
 use powerplay_web::app::PowerPlayApp;
-use powerplay_web::http::{http_get, http_put, ServerHandle, Status};
+use powerplay_web::http::{http_get, http_post, http_put, ServerHandle, Status};
 
 fn serve(tag: &str) -> (Arc<PowerPlayApp>, ServerHandle, String) {
     let dir = std::env::temp_dir().join(format!("powerplay-smoke-{tag}-{}", std::process::id()));
@@ -54,7 +55,12 @@ fn metrics_reflect_served_traffic() {
     let sheet = Sheet::from_json(&Json::parse(&text).unwrap()).unwrap();
     app.store().save("demo", "infopad", &sheet, None).unwrap();
 
-    let played = http_get(&format!("{base}/api/design?user=demo&name=infopad")).unwrap();
+    let played = http_post(
+        &format!("{base}/api/v1/designs/demo/infopad/play"),
+        b"",
+        "application/json",
+    )
+    .unwrap();
     assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
     let report = Json::parse(&played.body_text()).unwrap();
     assert!(report["report"]["total_w"].as_f64().unwrap() > 0.0);
@@ -80,15 +86,6 @@ fn metrics_reflect_served_traffic() {
     assert!(lookup(&series, "powerplay_store_wal_bytes") > 0.0);
     assert!(lookup(&series, "powerplay_store_commits_total") >= 1.0);
     assert!(lookup(&series, "powerplay_store_commit_seconds_count") >= 1.0);
-
-    // The legacy route advertised its v1 successor and was counted.
-    assert_eq!(played.header("deprecation"), Some("true"));
-    assert!(
-        lookup(
-            &series,
-            "powerplay_web_legacy_api_total{route=\"/api/design\"}"
-        ) >= 1.0
-    );
 
     // The exposition is substantial: at least 12 distinct series, each
     // with a HELP/TYPE header for its family.
@@ -141,7 +138,7 @@ fn v1_api_round_trip_over_sockets() {
     assert_eq!(listed.status(), Status::Ok);
     let parsed = Json::parse(&listed.body_text()).unwrap();
     assert_eq!(parsed["current"].as_f64(), Some(2.0));
-    let rolled = powerplay_web::http::http_post(
+    let rolled = http_post(
         &format!("{url}/rollback"),
         b"{\"rev\": 1}",
         "application/json",

@@ -190,7 +190,7 @@ fn lumping_via_the_web_registers_a_reusable_macro() {
     assert_eq!(r.status(), Status::Found, "{}", r.body_text());
     assert!(app.registry().read().get("u/d_macro").is_some());
     // And it is exposed over the API for remote reuse.
-    let api = http_get(&format!("{base}/api/element?name=u%2Fd_macro")).unwrap();
+    let api = http_get(&format!("{base}/api/v1/elements/u/d_macro")).unwrap();
     assert_eq!(api.status(), Status::Ok);
 }
 
