@@ -10,8 +10,7 @@
 //! through [`whatif::sweep_compiled`] unchanged, so their reports are
 //! bit-identical to an unconstrained sweep's.
 
-use powerplay_library::Registry;
-use powerplay_sheet::{whatif, CompiledSheet, EvaluateSheetError, Sheet, SheetReport};
+use powerplay_sheet::{whatif, CompiledSheet, EvaluateSheetError, SheetReport};
 use powerplay_units::Voltage;
 
 use crate::analyzer::{analysis_metrics, analyze_with_ranges};
@@ -283,15 +282,13 @@ fn provably_violates_timing(bounds: &SheetBounds) -> bool {
 /// Those of [`whatif::min_vdd_meeting_timing`] on the (possibly
 /// narrowed) bracket.
 pub fn min_vdd_meeting_timing_seeded(
-    sheet: &Sheet,
-    registry: &Registry,
+    plan: &CompiledSheet,
     vdd_min: Voltage,
     vdd_max: Voltage,
 ) -> Result<Option<(Voltage, SheetReport)>, EvaluateSheetError> {
     let metrics = analysis_metrics();
-    let plan = CompiledSheet::compile(sheet, registry);
     let probe =
-        |vdd: f64| analyze_with_ranges(&plan, &[("vdd".to_string(), Interval::point(vdd))]).ok();
+        |vdd: f64| analyze_with_ranges(plan, &[("vdd".to_string(), Interval::point(vdd))]).ok();
 
     let mut lo = vdd_min.value();
     let mut hi = vdd_max.value();
@@ -327,5 +324,5 @@ pub fn min_vdd_meeting_timing_seeded(
         metrics.minvdd_narrowed_total.inc();
     }
 
-    whatif::min_vdd_meeting_timing(sheet, registry, Voltage::new(lo), Voltage::new(hi))
+    whatif::min_vdd_meeting_timing(plan, Voltage::new(lo), Voltage::new(hi))
 }

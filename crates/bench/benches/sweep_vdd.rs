@@ -20,8 +20,9 @@ fn regenerate() {
         "{:>6} {:>16} {:>16}",
         "vdd", "decoder (Fig 3)", "InfoPad system"
     );
-    let dec_curve = whatif::sweep_global(&decoder, pp.registry(), "vdd", &VDD_POINTS).unwrap();
-    let sys_curve = whatif::sweep_global(&system, pp.registry(), "vdd", &VDD_POINTS).unwrap();
+    let decoder = pp.compile(&decoder);
+    let dec_curve = whatif::sweep_compiled(&decoder, "vdd", &VDD_POINTS).unwrap();
+    let sys_curve = whatif::sweep_compiled(&pp.compile(&system), "vdd", &VDD_POINTS).unwrap();
     for ((vdd, d), (_, s)) in dec_curve.iter().zip(&sys_curve) {
         println!(
             "{vdd:>6.2} {:>16} {:>16}",
@@ -33,14 +34,7 @@ fn regenerate() {
         "(decoder scales ~vdd^2; the display/radio-dominated system barely moves — \
          the 'optimize the right component' lesson)"
     );
-    match whatif::min_vdd_meeting_timing(
-        &decoder,
-        pp.registry(),
-        Voltage::new(0.75),
-        Voltage::new(3.3),
-    )
-    .unwrap()
-    {
+    match whatif::min_vdd_meeting_timing(&decoder, Voltage::new(0.75), Voltage::new(3.3)).unwrap() {
         Some((vdd, report)) => println!(
             "minimum supply meeting 2 MHz timing: {:.2} V -> {}",
             vdd.value(),
@@ -53,22 +47,22 @@ fn regenerate() {
 fn bench(c: &mut Criterion) {
     regenerate();
     let pp = session();
+    // Each timed iteration compiles, as a fresh study of a design does.
     let decoder = sheet(LuminanceArch::GroupedLut);
     c.bench_function("sweep/nine_point_vdd_sweep", |b| {
         b.iter(|| {
-            whatif::sweep_global(&decoder, pp.registry(), "vdd", &VDD_POINTS)
+            whatif::sweep_compiled(&pp.compile(&decoder), "vdd", &VDD_POINTS)
                 .unwrap()
                 .len()
         })
     });
     c.bench_function("sweep/sensitivities", |b| {
-        b.iter(|| whatif::sensitivities(&decoder, pp.registry()).unwrap())
+        b.iter(|| whatif::sensitivities_compiled(&pp.compile(&decoder)).unwrap())
     });
     c.bench_function("sweep/min_vdd_bisection", |b| {
         b.iter(|| {
             whatif::min_vdd_meeting_timing(
-                &decoder,
-                pp.registry(),
+                &pp.compile(&decoder),
                 Voltage::new(0.75),
                 Voltage::new(3.3),
             )
@@ -84,7 +78,7 @@ fn bench(c: &mut Criterion) {
     let system = infopad::sheet();
     let dense: Vec<f64> = (0..64).map(|i| 1.0 + 0.05 * f64::from(i)).collect();
     let serial = whatif::sweep_global_serial(&system, pp.registry(), "vdd", &dense).unwrap();
-    let parallel = whatif::sweep_global(&system, pp.registry(), "vdd", &dense).unwrap();
+    let parallel = whatif::sweep_compiled(&pp.compile(&system), "vdd", &dense).unwrap();
     assert_eq!(serial, parallel, "parallel sweep must be bit-identical");
 
     let mut group = c.benchmark_group("sweep/dense64_infopad");
@@ -98,7 +92,7 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("parallel", |b| {
         b.iter(|| {
-            whatif::sweep_global(&system, pp.registry(), "vdd", &dense)
+            whatif::sweep_compiled(&pp.compile(&system), "vdd", &dense)
                 .unwrap()
                 .len()
         })
@@ -114,7 +108,7 @@ fn bench(c: &mut Criterion) {
     });
     let parallel_rate = throughput(400, || {
         std::hint::black_box(
-            whatif::sweep_global(&system, pp.registry(), "vdd", &dense)
+            whatif::sweep_compiled(&pp.compile(&system), "vdd", &dense)
                 .unwrap()
                 .len(),
         );

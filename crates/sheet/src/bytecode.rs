@@ -1,7 +1,7 @@
 //! The bytecode replay engine: a sheet lowered to a register machine.
 //!
-//! [`super::plan::CompiledSheet`] already amortizes graph analysis, but
-//! the tree walker still resolves every variable reference through a
+//! [`super::plan::CompiledSheet`] amortizes graph analysis, but a tree
+//! walk over the row plan resolves every variable reference through a
 //! `HashMap` scope chain on every play — per-reference hashing on the
 //! hottest path in the system. This module lowers the *entire* compiled
 //! row structure (sub-sheets inlined) into one flat [`Program`]: a
@@ -26,12 +26,17 @@
 //!   missing-`vdd` case ([`Instr::TrapIf`]) — and is tested at replay
 //!   time against the same predicate;
 //! * a name the lowerer cannot resolve is recorded in
-//!   [`Program::is_unresolved`]; plays that *override* such a name fall
-//!   back to the tree walker, because an appended override global could
-//!   change what the name means. Resolved names can never be re-bound
-//!   by overrides (an override either retargets a declared top-level
-//!   global — whose register is re-seeded — or appends a new outermost
-//!   global that every resolved reference already shadows).
+//!   [`Program::is_unresolved`]. Resolved names can never be re-bound by
+//!   overrides: an override either retargets a declared top-level global
+//!   (whose register is re-seeded) or appends a new outermost global
+//!   that every resolved reference already shadows. An override plan
+//!   that appends an *unresolved* name lowers its own program, with the
+//!   appended names as extra registers in the top-level globals layer —
+//!   the layer the tree walker's global scope puts them in — so the
+//!   references the base program trapped resolve exactly as they would
+//!   in the tree walker. Every play of a compiled structure therefore
+//!   runs a program; the tree walker is the test oracle
+//!   ([`CompiledSheet::play_with_tree`]).
 //!
 //! # Batching
 //!
@@ -43,6 +48,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use powerplay_expr::{apply_binary, BinaryOp, Builtin, EvalError, Expr};
@@ -51,7 +57,7 @@ use powerplay_telemetry::{Counter, Histogram};
 use powerplay_units::{Area, Energy, Power, Time};
 
 use crate::engine::EvaluateSheetError;
-use crate::plan::{CompiledGlobal, CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
+use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
 use crate::report::{RowReport, SheetReport};
 
 /// Bytecode-engine metrics, registered once in the process-global
@@ -177,14 +183,22 @@ pub(crate) struct SheetRecipe {
     rows: Vec<RowRecipe>,
 }
 
+/// Process-unique program identities, so a register image can name the
+/// program whose layout it follows.
+static PROGRAM_IDS: AtomicU64 = AtomicU64::new(1);
+
 /// A compiled sheet lowered to one flat register-machine program.
 #[derive(Debug)]
 pub(crate) struct Program {
+    /// Process-unique identity (a register file filled by one program
+    /// is meaningless to another).
+    id: u64,
     code: Vec<Instr>,
     /// The register file's initial image: constants pre-placed, all
     /// other slots zero. A replay memcpys this, then seeds globals.
     init: Vec<f64>,
-    /// Declared top-level globals by declaration index → register slot.
+    /// Top-level globals (declared ones in declaration order, then any
+    /// appended override names) → register slot.
     global_slots: Vec<u32>,
     /// Per top-level row (declaration index): the `[start, end)` code
     /// span that evaluates it. Emission follows plan order, so
@@ -194,9 +208,11 @@ pub(crate) struct Program {
     recipes: Vec<RowRecipe>,
     errors: Vec<ErrTemplate>,
     /// Names the lowerer could not resolve anywhere in the scope chain.
-    /// Overriding one of these must fall back to the tree walker.
+    /// An override appending one of these needs its own program.
     unresolved: BTreeSet<String>,
-    /// Debug names per register (empty for temporaries).
+    /// Names per register: a global's name on its slot (which
+    /// [`Program::global_names`] reads), `=v` on constants, empty on
+    /// temporaries.
     names: Vec<String>,
     /// Rows at every level, for the rows-evaluated counter.
     rows_total: u64,
@@ -775,8 +791,8 @@ impl Lowerer {
                     match env.lookup(name) {
                         Some(slot) => params.push((name.clone(), slot)),
                         // The tree walker skips the column too — but an
-                        // appended override could later supply it, so the
-                        // play must fall back in that case.
+                        // appended override could later supply it, so an
+                        // override plan appending it lowers its own program.
                         None => {
                             self.unresolved.insert(name.to_string());
                         }
@@ -926,22 +942,23 @@ impl Lowerer {
 
 impl Program {
     /// Lowers a compiled row plan into one flat program. The top-level
-    /// `globals` contribute only their names: each becomes a register
+    /// globals contribute only their names: each becomes a register
     /// seeded per play, so the program never depends on their formulas.
-    /// (A top-level structural error has no program: the tree walker
-    /// reports it before any row evaluation, so there is nothing to
-    /// accelerate.)
-    pub(crate) fn lower(globals: &[CompiledGlobal], rows_plan: &RowsPlan) -> Program {
+    /// `global_names` are the declared globals in declaration order,
+    /// optionally followed by appended override names. (A top-level
+    /// structural error has no program: every play reports it before
+    /// any row evaluation.)
+    pub(crate) fn lower(global_names: &[Arc<str>], rows_plan: &RowsPlan) -> Program {
         let mut lw = Lowerer::new();
         let mut env = Env::new();
-        // Declared top-level globals: one named register each, seeded
-        // per play from the scalar global resolution (which owns the
-        // override graph-repair logic).
+        // Top-level globals: one named register each, seeded per play
+        // from the scalar global resolution (which owns the override
+        // graph-repair logic).
         env.push_layer();
-        let mut global_slots = Vec::with_capacity(globals.len());
-        for g in globals {
-            let slot = lw.reg(g.name.to_string());
-            env.insert_top(g.name.clone(), slot);
+        let mut global_slots = Vec::with_capacity(global_names.len());
+        for name in global_names {
+            let slot = lw.reg(name.to_string());
+            env.insert_top(name.clone(), slot);
             global_slots.push(slot);
         }
         let power_layer = env.push_layer();
@@ -971,6 +988,7 @@ impl Program {
             recipes[i] = Some(rec);
         }
         Program {
+            id: PROGRAM_IDS.fetch_add(1, Ordering::Relaxed),
             code: lw.code,
             init: lw.init,
             global_slots,
@@ -987,11 +1005,23 @@ impl Program {
     }
 
     /// True when `name` could not be resolved to a register somewhere in
-    /// the program. A play overriding such a name must use the tree
-    /// walker: an appended override global can be visible to scope
-    /// lookups the program compiled as errors or defaults.
+    /// the program. An override plan appending such a name lowers its
+    /// own program: the appended global can be visible to scope lookups
+    /// this program compiled as errors or defaults.
     pub(crate) fn is_unresolved(&self, name: &str) -> bool {
         self.unresolved.contains(name)
+    }
+
+    /// The program's process-unique identity.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The top-level global names, in register-seeding order.
+    pub(crate) fn global_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.global_slots
+            .iter()
+            .map(|&slot| self.names[slot as usize].as_str())
     }
 
     /// Registers in the file (scratch buffers must be at least this).
@@ -1009,7 +1039,7 @@ impl Program {
         self.row_spans[i]
     }
 
-    /// Register slot of top-level global `i` (declaration index).
+    /// Register slot of top-level global `i` (seeding order).
     pub(crate) fn global_slot(&self, i: usize) -> u32 {
         self.global_slots[i]
     }
@@ -1026,9 +1056,9 @@ impl Program {
     }
 
     /// Writes the resolved top-level global values into their slots, in
-    /// declaration order. `values` may run longer (appended override
-    /// globals); the extras have no slot and are never read by a
-    /// program dispatched for them (see [`Program::is_unresolved`]).
+    /// seeding order. `values` may run longer: appended override globals
+    /// this program has no register for are names it never reads (see
+    /// [`Program::is_unresolved`]).
     pub(crate) fn seed_globals(&self, values: impl Iterator<Item = f64>, regs: &mut [f64]) {
         for (&slot, value) in self.global_slots.iter().zip(values) {
             regs[slot as usize] = value;

@@ -15,6 +15,11 @@
 //!   against a set of global overrides without cloning the sheet or
 //!   touching the registry.
 //!
+//! Every play resolves the top-level globals with the scalar evaluator,
+//! then runs the row structure as one bytecode program (see
+//! [`crate::bytecode`]). The scope-chain tree walk over the row plan is
+//! kept only as the reference oracle, [`CompiledSheet::play_with_tree`].
+//!
 //! The compiled form is faithful to [`Sheet::play`] *bit for bit*,
 //! including every error case and error precedence: structural errors
 //! discovered at compile time (duplicate idents, row cycles, unknown
@@ -22,9 +27,11 @@
 //! evaluation sequence where the uncompiled engine would have found
 //! them. Global overrides are literals, which can change the *global*
 //! dependency graph (an override can break a cycle, and overriding an
-//! undefined name can introduce edges into it), so the tiny global plan
-//! is recomputed per play when overrides are present; the expensive row
-//! plan never depends on overrides and is always reused.
+//! undefined name can introduce edges into it), so each set of override
+//! names gets its own small global plan, an [`OverridePlan`]. An
+//! override plan that appends a name the program left unresolved also
+//! lowers its own program; otherwise the row plan and its program never
+//! depend on overrides and are always reused.
 //!
 //! A plan snapshots the sheet and registry at compile time: recompile
 //! after editing rows, bindings, global *formulas*, or library
@@ -49,8 +56,9 @@ use crate::sheet::Sheet;
 
 /// Engine-layer metrics, registered once in the process-global registry.
 /// Only the *top-level* compile/play entry points record here; sub-sheet
-/// recursion goes through the `*_impl` twins so a hierarchical design
-/// counts as one compile and one play (rows are counted at every level).
+/// recursion (`compile_impl`, the oracle's `play_tree_in`) does not, so a
+/// hierarchical design counts as one compile and one play (rows are
+/// counted at every level).
 pub(crate) struct PlanMetrics {
     compile_seconds: Histogram,
     compile_reused_total: Counter,
@@ -99,7 +107,7 @@ pub(crate) fn plan_metrics() -> &'static PlanMetrics {
             ),
             delta_fallbacks_total: g.counter(
                 "powerplay_sheet_delta_fallbacks_total",
-                "Delta replays that fell back to a full replay (dirty frontier over threshold)",
+                "Delta replays that fell back to a full replay (dirty frontier over threshold, or no register image of the baseline)",
             ),
             delta_memo_hits_total: g.counter(
                 "powerplay_sheet_delta_memo_hits_total",
@@ -156,8 +164,8 @@ pub struct CompiledSheet {
     id: u64,
     pub(crate) name: Arc<str>,
     pub(crate) globals: Vec<CompiledGlobal>,
-    /// Global evaluation order for the un-overridden sheet (recomputed
-    /// per play when overrides are present — see module docs).
+    /// Global evaluation order for the un-overridden sheet (an
+    /// [`OverridePlan`] re-plans it for a set of override names).
     pub(crate) base_global_plan: Result<Vec<usize>, EvaluateSheetError>,
     /// Everything that does not depend on top-level global formulas.
     pub(crate) body: Arc<PlanBody>,
@@ -171,10 +179,10 @@ pub(crate) struct PlanBody {
     /// Row plan, or the structural error the engine would report.
     pub(crate) structure: Result<RowsPlan, EvaluateSheetError>,
     /// The sheet lowered to one flat register-machine program (see
-    /// [`crate::bytecode`]); `None` when the top-level structure errored
-    /// or this plan is a sub-sheet (already inlined by its parent's
-    /// program). Attached by [`CompiledSheet::compile`] only.
-    pub(crate) program: Option<Program>,
+    /// [`crate::bytecode`]); empty while `structure` is an error. Filled
+    /// by [`CompiledSheet::compile`], or on first play of a sub-sheet's
+    /// plan (its parent's program already inlines its rows).
+    program: OnceLock<Program>,
     /// The registry generation the rows were resolved against.
     generation: u64,
 }
@@ -252,16 +260,11 @@ impl CompiledSheet {
     /// point evaluation would have reached them.
     pub fn compile(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
         let _timer = plan_metrics().compile_seconds.start_timer();
-        let mut plan = Self::compile_impl(sheet, registry);
+        let plan = Self::compile_impl(sheet, registry);
         // Lower the whole hierarchy (sub-sheets inlined) into one flat
-        // register-machine program. Only the top level carries one: a
+        // register-machine program now, so no play pays for it. A
         // sub-plan's rows are spans inside its parent's program.
-        let body = Arc::get_mut(&mut plan.body).expect("a fresh body is unshared");
-        body.program = body
-            .structure
-            .as_ref()
-            .ok()
-            .map(|rows| Program::lower(&plan.globals, rows));
+        let _ = plan.program();
         plan
     }
 
@@ -311,7 +314,7 @@ impl CompiledSheet {
     /// [`CompiledSheet::compile`] minus the metrics and the lowering, so
     /// sub-sheet recursion inside `compile_rows` doesn't count extra
     /// compiles.
-    pub(crate) fn compile_impl(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
+    fn compile_impl(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
         let _span = profile::span_lazy(|| format!("compile {}", sheet.name()));
         let (globals, base_global_plan) = compile_globals(sheet);
         CompiledSheet {
@@ -321,7 +324,7 @@ impl CompiledSheet {
             base_global_plan,
             body: Arc::new(PlanBody {
                 structure: compile_rows(sheet, registry),
-                program: None,
+                program: OnceLock::new(),
                 generation: registry.generation(),
             }),
         }
@@ -379,6 +382,37 @@ impl CompiledSheet {
         out
     }
 
+    /// The names of the top-level globals, in declaration order — the
+    /// register layout the base program seeds.
+    fn global_names(&self) -> Vec<Arc<str>> {
+        self.globals.iter().map(|g| g.name.clone()).collect()
+    }
+
+    /// The bytecode program of this plan's row structure, or the
+    /// structural error every play reports. [`CompiledSheet::compile`]
+    /// lowers it up front; a sub-sheet's plan (whose rows its parent's
+    /// program inlines) lowers its own on first use.
+    fn program(&self) -> Result<&Program, EvaluateSheetError> {
+        let rows = self.body.structure.as_ref().map_err(Clone::clone)?;
+        Ok(self
+            .body
+            .program
+            .get_or_init(|| Program::lower(&self.global_names(), rows)))
+    }
+
+    /// The program plays through `plan` run: the plan's own when it
+    /// appends a name the base program left unresolved, the base
+    /// program otherwise.
+    fn program_for<'a>(
+        &'a self,
+        plan: &'a OverridePlan,
+    ) -> Result<&'a Program, EvaluateSheetError> {
+        match &plan.program {
+            Some(prog) => Ok(prog),
+            None => self.program(),
+        }
+    }
+
     /// Evaluates the plan with no overrides — equivalent to
     /// [`Sheet::play`] on the compiled sheet.
     ///
@@ -386,7 +420,13 @@ impl CompiledSheet {
     ///
     /// Exactly those of [`Sheet::play`].
     pub fn play(&self) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_with(&[])
+        let metrics = plan_metrics();
+        metrics.plays_total.inc();
+        let _timer = metrics.replay_seconds.start_timer();
+        let _span = profile::span_lazy(|| format!("play {}", self.name));
+        let resolved = self.eval_base_globals(&mut Scope::new())?;
+        let prog = self.program()?;
+        with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs))
     }
 
     /// Evaluates the plan with the given global value overrides —
@@ -395,36 +435,27 @@ impl CompiledSheet {
     /// but with no clone and no dependency re-analysis of the rows.
     ///
     /// Overriding a name not currently a global appends it, exactly as
-    /// [`Sheet::set_global_value`] would.
+    /// [`Sheet::set_global_value`] would. This is
+    /// [`CompiledSheet::play_with_plan`] through a one-off
+    /// [`CompiledSheet::override_plan`]; repeated plays over the same
+    /// names should hoist the plan.
     ///
     /// # Errors
     ///
     /// Exactly those of [`Sheet::play`] on the overridden sheet.
     pub fn play_with(&self, overrides: &[(&str, f64)]) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_with_in(&Scope::new(), overrides)
+        if overrides.is_empty() {
+            return self.play();
+        }
+        let (names, values) = split_overrides(overrides);
+        self.play_with_plan(&self.override_plan(&names), &values)
     }
 
-    /// Like [`CompiledSheet::play_with`] but with externally supplied
-    /// bindings (used when this sheet is nested inside another design).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledSheet::play_with`].
-    pub fn play_with_in(
-        &self,
-        parent: &Scope<'_>,
-        overrides: &[(&str, f64)],
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        let metrics = plan_metrics();
-        metrics.plays_total.inc();
-        let _timer = metrics.replay_seconds.start_timer();
-        self.play_impl(parent, overrides)
-    }
-
-    /// Like [`CompiledSheet::play_with`] but forcing the tree-walking
-    /// evaluator even when a bytecode program is available — the
+    /// Like [`CompiledSheet::play_with`] but walking the row plan through
+    /// a scope chain instead of running the bytecode program — the
     /// reference oracle the parity test suite (and the throughput
-    /// benches) compare the bytecode engine against.
+    /// benches) compare the bytecode engine against. No other play
+    /// reaches the tree walker.
     ///
     /// # Errors
     ///
@@ -436,177 +467,53 @@ impl CompiledSheet {
         let metrics = plan_metrics();
         metrics.plays_total.inc();
         let _timer = metrics.replay_seconds.start_timer();
-        self.play_impl_mode(&Scope::new(), overrides, false)
+        let (names, values) = split_overrides(overrides);
+        let names: Vec<String> = names.into_iter().map(str::to_owned).collect();
+        let graph = plan_global_graph(&self.globals, &names)?;
+        let mut scope = Scope::new();
+        let resolved = self.eval_globals(&mut scope, &names, &graph, &values)?;
+        self.play_tree_rows(&scope, resolved)
     }
 
-    /// [`CompiledSheet::play_with_in`] minus the top-level metrics, so a
-    /// nested design counts as one play and one replay-latency sample.
-    pub(crate) fn play_impl(
+    /// The tree walker's sub-sheet recursion: this sheet's globals are
+    /// evaluated in a child of the enclosing row's scope, then its rows.
+    fn play_tree_in(&self, parent: &Scope<'_>) -> Result<SheetReport, EvaluateSheetError> {
+        let mut scope = parent.child();
+        let resolved = self.eval_base_globals(&mut scope)?;
+        self.play_tree_rows(&scope, resolved)
+    }
+
+    fn play_tree_rows(
         &self,
-        parent: &Scope<'_>,
-        overrides: &[(&str, f64)],
+        globals_scope: &Scope<'_>,
+        resolved: Vec<(String, f64)>,
     ) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_impl_mode(parent, overrides, true)
+        let _span = profile::span_lazy(|| format!("tree-play {}", self.name));
+        let rows_plan = self.body.structure.as_ref().map_err(Clone::clone)?;
+        let rows = eval_rows_full(rows_plan, globals_scope)?;
+        Ok(SheetReport::new(self.name.clone(), resolved, rows))
     }
 
-    /// True when a play with `parent` bindings and `overrides` can be
-    /// answered by the bytecode program: top-level scope (a non-empty
-    /// parent could rebind any name the program resolved statically) and
-    /// no override touching a name the lowering left unresolved (an
-    /// appended override global is visible to the scope lookups the
-    /// program compiled as errors or defaults).
-    fn bytecode_for(&self, parent: &Scope<'_>, names: &[&str]) -> Option<&Program> {
-        if !parent.is_empty_root() {
-            return None;
-        }
-        let prog = self.body.program.as_ref()?;
-        if names.iter().any(|n| prog.is_unresolved(n)) {
-            return None;
-        }
-        Some(prog)
-    }
-
-    fn play_impl_mode(
-        &self,
-        parent: &Scope<'_>,
-        overrides: &[(&str, f64)],
-        use_bytecode: bool,
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        let _span = profile::span_lazy(|| format!("play {}", self.name));
-        let mut globals_scope = parent.child();
-        let resolved_globals = if overrides.is_empty() {
-            let order = self.base_global_plan.as_ref().map_err(Clone::clone)?;
-            let mut resolved: Vec<Option<(String, f64)>> = vec![None; self.globals.len()];
-            for &i in order {
-                let global = &self.globals[i];
-                let value = global.expr.eval(&globals_scope).map_err(|source| {
-                    EvaluateSheetError::Global {
-                        name: global.name.to_string(),
-                        source,
-                    }
-                })?;
-                globals_scope.set(global.name.clone(), value);
-                resolved[i] = Some((global.name.to_string(), value));
-            }
-            resolved
-                .into_iter()
-                .map(|slot| slot.expect("every global evaluated"))
-                .collect()
-        } else {
-            self.eval_overridden_globals(&mut globals_scope, overrides)?
-        };
-
-        let plan = self.body.structure.as_ref().map_err(Clone::clone)?;
-
-        if use_bytecode {
-            let names: Vec<&str> = overrides.iter().map(|&(n, _)| n).collect();
-            if let Some(prog) = self.bytecode_for(parent, &names) {
-                return with_scratch_regs(|regs| {
-                    prog.replay_full(self.name.clone(), resolved_globals, regs)
-                });
-            }
-        }
-
-        let rows = eval_rows_full(plan, &globals_scope)?;
-
-        Ok(SheetReport::new(self.name.clone(), resolved_globals, rows))
-    }
-
-    /// Global evaluation under overrides. Overridden globals become
-    /// literals, which removes their outgoing dependency edges (and can
-    /// dissolve cycles); overriding an undefined name appends a new
-    /// global that existing formulas may now resolve against. Both
-    /// reshape the graph, so it is re-planned here from the precomputed
-    /// free-variable sets — a few comparisons over a handful of
-    /// globals, not an AST re-walk.
-    fn eval_overridden_globals(
+    /// Un-overridden global evaluation in the precomputed order, binding
+    /// each value into `globals_scope` as it resolves.
+    fn eval_base_globals(
         &self,
         globals_scope: &mut Scope<'_>,
-        overrides: &[(&str, f64)],
     ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
-        // Apply overrides in sequence: replace the value of an existing
-        // global, or append a fresh one (later duplicates win).
-        let mut base_value: Vec<Option<f64>> = vec![None; self.globals.len()];
-        let mut appended: Vec<(String, f64)> = Vec::new();
-        for &(name, value) in overrides {
-            if let Some(i) = self.globals.iter().position(|g| &*g.name == name) {
-                base_value[i] = Some(value);
-            } else if let Some(slot) = appended.iter_mut().find(|(n, _)| n == name) {
-                slot.1 = value;
-            } else {
-                appended.push((name.to_owned(), value));
-            }
-        }
-
-        enum Node<'a> {
-            Formula(&'a CompiledGlobal),
-            Literal(&'a str, f64),
-        }
-        let nodes: Vec<Node<'_>> = self
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| match base_value[i] {
-                Some(v) => Node::Literal(&g.name, v),
-                None => Node::Formula(g),
-            })
-            .chain(appended.iter().map(|(n, v)| Node::Literal(n, *v)))
-            .collect();
-
-        let index_of: BTreeMap<&str, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| match node {
-                Node::Formula(g) => (&*g.name, i),
-                Node::Literal(name, _) => (*name, i),
-            })
-            .collect();
-        let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        for (i, node) in nodes.iter().enumerate() {
-            let entry = deps.entry(i).or_default();
-            if let Node::Formula(g) = node {
-                if g.free.contains(&*g.name) {
-                    return Err(EvaluateSheetError::CircularGlobals(vec![g
-                        .name
-                        .to_string()]));
-                }
-                for var in &g.free {
-                    if let Some(&j) = index_of.get(var.as_str()) {
-                        if j != i {
-                            entry.insert(j);
-                        }
-                    }
-                }
-            }
-        }
-        let order = toposort(nodes.len(), &deps).map_err(|cycle| {
-            EvaluateSheetError::CircularGlobals(
-                cycle
-                    .into_iter()
-                    .map(|i| match &nodes[i] {
-                        Node::Formula(g) => g.name.to_string(),
-                        Node::Literal(name, _) => (*name).to_owned(),
-                    })
-                    .collect(),
-            )
-        })?;
-
-        let mut resolved: Vec<Option<(String, f64)>> = vec![None; nodes.len()];
-        for i in order {
-            let (name, value) = match &nodes[i] {
-                Node::Literal(name, value) => ((*name).to_owned(), *value),
-                Node::Formula(g) => {
-                    let value = g.expr.eval(globals_scope).map_err(|source| {
-                        EvaluateSheetError::Global {
-                            name: g.name.to_string(),
-                            source,
-                        }
+        let order = self.base_global_plan.as_ref().map_err(Clone::clone)?;
+        let mut resolved: Vec<Option<(String, f64)>> = vec![None; self.globals.len()];
+        for &i in order {
+            let global = &self.globals[i];
+            let value =
+                global
+                    .expr
+                    .eval(globals_scope)
+                    .map_err(|source| EvaluateSheetError::Global {
+                        name: global.name.to_string(),
+                        source,
                     })?;
-                    (g.name.to_string(), value)
-                }
-            };
-            globals_scope.set(name.clone(), value);
-            resolved[i] = Some((name, value));
+            globals_scope.set(global.name.clone(), value);
+            resolved[i] = Some((global.name.to_string(), value));
         }
         Ok(resolved
             .into_iter()
@@ -614,11 +521,15 @@ impl CompiledSheet {
             .collect())
     }
 
-    /// Precomputes everything about a set of override *names* that
-    /// [`CompiledSheet::eval_overridden_globals`] would otherwise redo
-    /// per play: name → global-slot resolution, the reshaped global
-    /// dependency graph, and its toposort (or the `CircularGlobals`
-    /// error every play with these names would raise). The graph shape
+    /// Resolves everything about a set of override *names* that a play
+    /// would otherwise redo: name → global-slot resolution, the reshaped
+    /// global dependency graph and its toposort (or the
+    /// `CircularGlobals` error every play with these names would raise),
+    /// and — when the names append one the base program left unresolved
+    /// — a program lowered with the appended names as top-level globals.
+    /// Overridden globals become literals, which removes their outgoing
+    /// dependency edges (and can dissolve cycles); an appended name is a
+    /// new global existing formulas may now resolve against. The shape
     /// depends only on the names, never the values, so a sweep resolves
     /// it once and plays each point with [`CompiledSheet::play_with_plan`].
     ///
@@ -631,90 +542,48 @@ impl CompiledSheet {
                 uniq.push(n.to_owned());
             }
         }
-        let inner = self.build_override_inner(&uniq);
+        let graph = plan_global_graph(&self.globals, &uniq);
+        let program = match (&graph, self.program()) {
+            (Ok(graph), Ok(base))
+                if graph
+                    .appended
+                    .iter()
+                    .any(|&slot| base.is_unresolved(&uniq[slot])) =>
+            {
+                let rows = self.body.structure.as_ref().expect("a program has rows");
+                let mut global_names = self.global_names();
+                global_names.extend(graph.appended.iter().map(|&slot| Arc::from(&*uniq[slot])));
+                Some(Arc::new(Program::lower(&global_names, rows)))
+            }
+            _ => None,
+        };
         OverridePlan {
             plan_id: self.id,
             names: uniq,
-            inner,
+            graph,
+            program,
         }
     }
 
-    /// Mirrors the graph construction of `eval_overridden_globals`,
-    /// including its error precedence: a self-referential formula errors
-    /// first (lowest node index), then cycles surface from the toposort.
-    fn build_override_inner(
-        &self,
-        names: &[String],
-    ) -> Result<OverridePlanInner, EvaluateSheetError> {
-        let mut global_slot: Vec<Option<usize>> = vec![None; self.globals.len()];
-        let mut appended: Vec<usize> = Vec::new();
-        for (slot, name) in names.iter().enumerate() {
-            if let Some(i) = self.globals.iter().position(|g| &*g.name == name.as_str()) {
-                global_slot[i] = Some(slot);
-            } else {
-                appended.push(slot);
-            }
-        }
-        let node_count = self.globals.len() + appended.len();
-        let name_of = |k: usize| -> &str {
-            if k < self.globals.len() {
-                &self.globals[k].name
-            } else {
-                &names[appended[k - self.globals.len()]]
-            }
-        };
-        let index_of: BTreeMap<&str, usize> = (0..node_count).map(|k| (name_of(k), k)).collect();
-        let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        for k in 0..node_count {
-            deps.entry(k).or_default();
-        }
-        for (k, (slot, g)) in global_slot.iter().zip(&self.globals).enumerate() {
-            if slot.is_some() {
-                continue; // overridden: a constant, no formula deps
-            }
-            if g.free.contains(&*g.name) {
-                return Err(EvaluateSheetError::CircularGlobals(vec![g
-                    .name
-                    .to_string()]));
-            }
-            let entry = deps.entry(k).or_default();
-            for var in &g.free {
-                if let Some(&j) = index_of.get(var.as_str()) {
-                    if j != k {
-                        entry.insert(j);
-                    }
-                }
-            }
-        }
-        let order = toposort(node_count, &deps).map_err(|cycle| {
-            EvaluateSheetError::CircularGlobals(
-                cycle.into_iter().map(|k| name_of(k).to_owned()).collect(),
-            )
-        })?;
-        Ok(OverridePlanInner {
-            global_slot,
-            appended,
-            order,
-        })
-    }
-
-    /// Resolves globals through a precomputed [`OverridePlan`]; output
-    /// is identical to `eval_overridden_globals` on the corresponding
-    /// `(name, value)` pairs.
-    fn eval_globals_with_plan(
+    /// Resolves globals through a planned override graph: an overridden
+    /// global takes `values[slot]`, the other declared globals evaluate
+    /// their formulas, and appended names (`names` slots the graph lists
+    /// as appended) follow the declared globals. `names` and `values`
+    /// align.
+    fn eval_globals(
         &self,
         globals_scope: &mut Scope<'_>,
-        plan: &OverridePlan,
-        inner: &OverridePlanInner,
+        names: &[String],
+        graph: &GlobalGraph,
         values: &[f64],
     ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
-        let node_count = self.globals.len() + inner.appended.len();
+        let node_count = self.globals.len() + graph.appended.len();
         let mut resolved: Vec<Option<(String, f64)>> = vec![None; node_count];
-        for &k in &inner.order {
+        for &k in &graph.order {
             let (name, value) = if k < self.globals.len() {
                 let g = &self.globals[k];
                 let value =
-                    match inner.global_slot[k] {
+                    match graph.global_slot[k] {
                         Some(slot) => values[slot],
                         None => g.expr.eval(globals_scope).map_err(|source| {
                             EvaluateSheetError::Global {
@@ -726,8 +595,8 @@ impl CompiledSheet {
                 globals_scope.set(g.name.clone(), value);
                 (g.name.to_string(), value)
             } else {
-                let slot = inner.appended[k - self.globals.len()];
-                let name = plan.names[slot].clone();
+                let slot = graph.appended[k - self.globals.len()];
+                let name = names[slot].clone();
                 globals_scope.set(Arc::<str>::from(name.as_str()), values[slot]);
                 (name, values[slot])
             };
@@ -754,6 +623,15 @@ impl CompiledSheet {
         let metrics = plan_metrics();
         metrics.plays_total.inc();
         let _timer = metrics.replay_seconds.start_timer();
+        self.check_plan(plan, values);
+        let _span = profile::span_lazy(|| format!("play {}", self.name));
+        let graph = plan.graph.as_ref().map_err(Clone::clone)?;
+        let resolved = self.eval_globals(&mut Scope::new(), &plan.names, graph, values)?;
+        let prog = self.program_for(plan)?;
+        with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs))
+    }
+
+    fn check_plan(&self, plan: &OverridePlan, values: &[f64]) {
         assert_eq!(
             plan.plan_id, self.id,
             "override plan built for a different compiled sheet"
@@ -763,31 +641,20 @@ impl CompiledSheet {
             plan.names.len(),
             "one value per planned override name"
         );
-        let _span = profile::span_lazy(|| format!("play {}", self.name));
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
-        let mut globals_scope = Scope::new();
-        let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.body.structure.as_ref().map_err(Clone::clone)?;
-
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        if let Some(prog) = self.bytecode_for(&Scope::new(), &names) {
-            return with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs));
-        }
-
-        let rows = eval_rows_full(rows_plan, &globals_scope)?;
-        Ok(SheetReport::new(self.name.clone(), resolved, rows))
     }
 
     /// Incremental replay: re-evaluates only the rows whose watched
     /// names changed since the last successful replay recorded in
     /// `state`, reusing the previous report for clean rows. Falls back
     /// to a full replay when the potential dirty frontier exceeds
-    /// [`DELTA_FALLBACK_NUM`]/[`DELTA_FALLBACK_DEN`] of the rows.
+    /// [`DELTA_FALLBACK_NUM`]/[`DELTA_FALLBACK_DEN`] of the rows, or when
+    /// the baseline's register image cannot be rebuilt under this
+    /// call's program (a baseline from a plan that lacked an appended
+    /// name, or one whose program traps at the baseline's globals).
     ///
     /// The result is bit-for-bit identical to
     /// [`CompiledSheet::play_with`] with the same overrides. On error
-    /// `state` keeps its last successful baseline. Delta replay targets
-    /// *top-level* plays (empty parent scope); sub-sheet rows are
+    /// `state` keeps its last successful baseline. Sub-sheet rows are
     /// macro-lumped — a dirty sub-sheet row replays its whole subtree.
     ///
     /// # Errors
@@ -798,16 +665,7 @@ impl CompiledSheet {
         state: &mut ReplayState,
         overrides: &[(&str, f64)],
     ) -> Result<SheetReport, EvaluateSheetError> {
-        let mut names: Vec<&str> = Vec::with_capacity(overrides.len());
-        let mut values: Vec<f64> = Vec::with_capacity(overrides.len());
-        for &(name, value) in overrides {
-            if let Some(p) = names.iter().position(|&n| n == name) {
-                values[p] = value;
-            } else {
-                names.push(name);
-                values.push(value);
-            }
-        }
+        let (names, values) = split_overrides(overrides);
         let cached = state.override_plan.as_ref().filter(|p| {
             p.plan_id == self.id
                 && p.names.len() == names.len()
@@ -840,34 +698,17 @@ impl CompiledSheet {
         let metrics = plan_metrics();
         metrics.delta_replays_total.inc();
         let _timer = metrics.delta_replay_seconds.start_timer();
-        assert_eq!(
-            plan.plan_id, self.id,
-            "override plan built for a different compiled sheet"
-        );
-        assert_eq!(
-            values.len(),
-            plan.names.len(),
-            "one value per planned override name"
-        );
+        self.check_plan(plan, values);
         let _span = profile::span_lazy(|| format!("delta-play {}", self.name));
 
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
-        let mut globals_scope = Scope::new();
-        let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.body.structure.as_ref().map_err(Clone::clone)?;
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        let prog = self.bytecode_for(&Scope::new(), &names);
+        let graph = plan.graph.as_ref().map_err(Clone::clone)?;
+        let resolved = self.eval_globals(&mut Scope::new(), &plan.names, graph, values)?;
+        let prog = self.program_for(plan)?;
+        let rows_plan = self.body.structure.as_ref().expect("a program has rows");
 
         // No usable baseline: full evaluation, then remember it.
         if state.plan_id != Some(self.id) || state.report.is_none() {
-            metrics.plays_total.inc();
-            let report =
-                self.full_replay_for_delta(prog, rows_plan, &globals_scope, resolved, state)?;
-            state.commit(self.id, &report, rows_plan.rows.len(), DeltaOutcome::Full);
-            metrics
-                .delta_dirty_rows
-                .observe_value(rows_plan.rows.len() as u64);
-            return Ok(report);
+            return self.full_replay_for_delta(prog, resolved, state, DeltaOutcome::Full);
         }
 
         let prev = state.report.as_ref().expect("checked above");
@@ -935,42 +776,21 @@ impl CompiledSheet {
                 }
             }
         }
-        if potential * DELTA_FALLBACK_DEN > rows_plan.rows.len() * DELTA_FALLBACK_NUM {
+        let over_threshold =
+            potential * DELTA_FALLBACK_DEN > rows_plan.rows.len() * DELTA_FALLBACK_NUM;
+        if over_threshold || !ensure_regs(prog, state) {
             metrics.delta_fallbacks_total.inc();
-            metrics.plays_total.inc();
-            let report =
-                self.full_replay_for_delta(prog, rows_plan, &globals_scope, resolved, state)?;
-            state.commit(
-                self.id,
-                &report,
-                rows_plan.rows.len(),
-                DeltaOutcome::Fallback,
-            );
-            metrics
-                .delta_dirty_rows
-                .observe_value(rows_plan.rows.len() as u64);
-            return Ok(report);
+            return self.full_replay_for_delta(prog, resolved, state, DeltaOutcome::Fallback);
         }
 
-        // Targeted walk in plan order; errors leave `state` at its last
-        // successful baseline (clean rows cannot error — identical
-        // inputs evaluated successfully last time). Routed through the
-        // bytecode program when its register file can mirror the
-        // baseline, otherwise through the tree walker.
+        // Targeted walk in plan order over the register image of the
+        // baseline; errors leave `state` at its last successful baseline
+        // (clean rows cannot error — identical inputs evaluated
+        // successfully last time).
         let prev = state.report.take().expect("checked above");
-        let use_bytecode = match prog {
-            Some(p) => self.ensure_regs(p, state, &prev),
-            None => {
-                state.regs_plan = None;
-                false
-            }
-        };
-        let walk = if use_bytecode {
-            let p = prog.expect("use_bytecode implies a program");
-            let ReplayState { dirty, regs, .. } = state;
-            delta_walk_bytecode(p, rows_plan, &resolved, &prev, dirty, regs)
-        } else {
-            delta_walk(rows_plan, &globals_scope, &prev, &mut state.dirty)
+        let walk = {
+            let ReplayState { dirty, regs, .. } = &mut *state;
+            delta_walk_bytecode(prog, rows_plan, &resolved, &prev, dirty, regs)
         };
         match walk {
             Ok((rows, evaluated)) => {
@@ -981,73 +801,79 @@ impl CompiledSheet {
                 Ok(report)
             }
             Err(err) => {
-                if use_bytecode {
-                    state.regs_plan = None;
-                }
+                state.regs_prog = None;
                 state.report = Some(prev);
                 Err(err)
             }
         }
     }
 
-    /// The full-evaluation path shared by the no-baseline and
-    /// over-threshold branches of [`CompiledSheet::replay_delta_with_plan`]:
-    /// a bytecode replay into the state's persistent register file when a
-    /// program is available (leaving the file valid for targeted walks),
-    /// the tree walker otherwise.
+    /// The full replay behind the no-baseline and fallback branches of
+    /// [`CompiledSheet::replay_delta_with_plan`]: a bytecode replay into
+    /// the state's persistent register file, leaving the file valid for
+    /// later targeted walks.
     fn full_replay_for_delta(
         &self,
-        prog: Option<&Program>,
-        rows_plan: &RowsPlan,
-        globals_scope: &Scope<'_>,
+        prog: &Program,
         resolved: Vec<(String, f64)>,
         state: &mut ReplayState,
+        outcome: DeltaOutcome,
     ) -> Result<SheetReport, EvaluateSheetError> {
-        if let Some(prog) = prog {
-            return match prog.replay_full(self.name.clone(), resolved, &mut state.regs) {
-                Ok(report) => {
-                    state.regs_plan = Some(self.id);
-                    Ok(report)
-                }
-                Err(err) => {
-                    state.regs_plan = None;
-                    Err(err)
-                }
-            };
-        }
-        state.regs_plan = None;
-        let rows = eval_rows_full(rows_plan, globals_scope)?;
-        Ok(SheetReport::new(self.name.clone(), resolved, rows))
+        let metrics = plan_metrics();
+        metrics.plays_total.inc();
+        state.regs_prog = None;
+        let report = prog.replay_full(self.name.clone(), resolved, &mut state.regs)?;
+        state.regs_prog = Some(prog.id());
+        let rows = self.row_count();
+        state.commit(self.id, &report, rows, outcome);
+        metrics.delta_dirty_rows.observe_value(rows as u64);
+        Ok(report)
     }
+}
 
-    /// Makes `state.regs` a valid register image of the baseline report
-    /// `prev`: already valid when the last successful execution through
-    /// this state was bytecode, otherwise rebuilt by replaying the whole
-    /// program at the baseline's global values. Returns `false` (state
-    /// invalidated) when the baseline cannot be reproduced — the caller
-    /// then walks the tree, which needs no register file.
-    fn ensure_regs(&self, prog: &Program, state: &mut ReplayState, prev: &SheetReport) -> bool {
-        if state.regs_plan == Some(self.id) {
-            return true;
-        }
-        let globals = prev.globals();
-        if globals.len() < prog.global_count() {
-            state.regs_plan = None;
-            return false;
-        }
-        prog.seed(&mut state.regs);
-        prog.seed_globals(globals.iter().map(|(_, v)| *v), &mut state.regs);
-        match prog.exec(0, prog.code_len(), &mut state.regs) {
-            Ok(()) => {
-                state.regs_plan = Some(self.id);
-                true
-            }
-            Err(_) => {
-                state.regs_plan = None;
-                false
-            }
+/// Makes `state.regs` a register image, under `prog`, of the baseline
+/// report: already one when the last successful execution through this
+/// state ran `prog`, otherwise rebuilt by running `prog` at the
+/// baseline's global values. Returns `false` (image invalidated) when
+/// the baseline has no value for one of `prog`'s globals or the run
+/// traps; the caller then replays in full.
+fn ensure_regs(prog: &Program, state: &mut ReplayState) -> bool {
+    if state.regs_prog == Some(prog.id()) {
+        return true;
+    }
+    state.regs_prog = None;
+    let prev = state.report.as_ref().expect("a baseline exists");
+    let Some(values) = prog
+        .global_names()
+        .map(|name| prev.global(name))
+        .collect::<Option<Vec<f64>>>()
+    else {
+        return false;
+    };
+    prog.seed(&mut state.regs);
+    prog.seed_globals(values.into_iter(), &mut state.regs);
+    if prog.exec(0, prog.code_len(), &mut state.regs).is_err() {
+        return false;
+    }
+    state.regs_prog = Some(prog.id());
+    true
+}
+
+/// Splits `(name, value)` overrides into de-duplicated names and their
+/// values (later duplicates win, as [`Sheet::set_global_value`] applied
+/// in sequence would).
+fn split_overrides<'n>(overrides: &[(&'n str, f64)]) -> (Vec<&'n str>, Vec<f64>) {
+    let mut names: Vec<&str> = Vec::with_capacity(overrides.len());
+    let mut values: Vec<f64> = Vec::with_capacity(overrides.len());
+    for &(name, value) in overrides {
+        if let Some(p) = names.iter().position(|&n| n == name) {
+            values[p] = value;
+        } else {
+            names.push(name);
+            values.push(value);
         }
     }
+    (names, values)
 }
 
 /// Fall back to a full replay when the potential dirty frontier exceeds
@@ -1058,13 +884,17 @@ pub const DELTA_FALLBACK_NUM: usize = 3;
 /// See [`DELTA_FALLBACK_NUM`].
 pub const DELTA_FALLBACK_DEN: usize = 4;
 
-/// The override-name resolution and reshaped global plan shared by every
-/// point of a sweep — built once by [`CompiledSheet::override_plan`].
+/// The override-name resolution, reshaped global plan and program shared
+/// by every point of a sweep — built once by
+/// [`CompiledSheet::override_plan`].
 #[derive(Debug, Clone)]
 pub struct OverridePlan {
     plan_id: u64,
     names: Vec<String>,
-    inner: Result<OverridePlanInner, EvaluateSheetError>,
+    graph: Result<GlobalGraph, EvaluateSheetError>,
+    /// The program lowered for these names when they append one the
+    /// base program left unresolved; `None` plays the base program.
+    program: Option<Arc<Program>>,
 }
 
 impl OverridePlan {
@@ -1076,8 +906,10 @@ impl OverridePlan {
     }
 }
 
+/// The global dependency graph under a set of override names, planned by
+/// [`plan_global_graph`].
 #[derive(Debug, Clone)]
-struct OverridePlanInner {
+struct GlobalGraph {
     /// Per compiled global: the `names` slot overriding it, if any.
     global_slot: Vec<Option<usize>>,
     /// `names` slots that append new globals, in append order.
@@ -1094,7 +926,8 @@ pub enum DeltaOutcome {
     None,
     /// First play into this state: full evaluation.
     Full,
-    /// Dirty frontier over threshold: full evaluation.
+    /// Dirty frontier over threshold, or no register image of the
+    /// baseline to walk: full evaluation.
     Fallback,
     /// No global changed: previous rows reused verbatim.
     Memo,
@@ -1115,11 +948,12 @@ pub struct ReplayState {
     last_dirty_rows: Option<usize>,
     last_outcome: DeltaOutcome,
     /// Persistent bytecode register file. Valid (mirrors `report`) only
-    /// while `regs_plan` matches the plan that last filled it via a
-    /// *successful* bytecode execution; tree-walk commits and bytecode
-    /// errors invalidate it.
+    /// while `regs_prog` names the program that last filled it via a
+    /// *successful* execution; errors invalidate it. Keyed on the
+    /// program, not the plan: override plans that append unresolved
+    /// names run programs of their own, with their own register layout.
     regs: Vec<f64>,
-    regs_plan: Option<u64>,
+    regs_prog: Option<u64>,
 }
 
 impl ReplayState {
@@ -1151,7 +985,7 @@ impl ReplayState {
 /// [`BatchKernel::WIDTH`] override points per instruction-dispatch pass.
 ///
 /// Built once per sweep by [`CompiledSheet::batch_kernel`], it replays a
-/// baseline (un-overridden) play, then derives a *value-independent*
+/// baseline (un-overridden) play through the plan's program, then derives a *value-independent*
 /// dirty superset — every row whose inputs can depend on any override
 /// name, directly or through non-overridden global formulas or
 /// `P_`/`A_` chains. Each [`BatchKernel::replay_chunk`] call resolves
@@ -1167,7 +1001,7 @@ impl ReplayState {
 pub struct BatchKernel<'a> {
     plan: &'a CompiledSheet,
     oplan: &'a OverridePlan,
-    inner: &'a OverridePlanInner,
+    graph: &'a GlobalGraph,
     prog: &'a Program,
     rows_plan: &'a RowsPlan,
     /// Value-independent dirty superset over top-level rows.
@@ -1182,35 +1016,23 @@ pub struct BatchKernel<'a> {
 impl CompiledSheet {
     /// Builds a batched sweep kernel for the override names in `plan`,
     /// or `None` when batching cannot reproduce the scalar path exactly:
-    /// no bytecode program, an override name the lowering left
-    /// unresolved, a structural/global-plan error (every point fails the
-    /// same way — the scalar path reports it), or a baseline play that
-    /// itself errors (the clean-row reuse needs a valid baseline).
+    /// a structural/global-plan error (every point fails the same way —
+    /// the scalar path reports it), or a baseline play that itself
+    /// errors (the clean-row reuse needs a valid baseline). Under a plan
+    /// whose program appends names, the baseline reads them as `0.0`;
+    /// only rows watching them read them, and those rows are dirty.
     pub fn batch_kernel<'a>(&'a self, plan: &'a OverridePlan) -> Option<BatchKernel<'a>> {
         assert_eq!(
             plan.plan_id, self.id,
             "override plan built for a different compiled sheet"
         );
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        let prog = self.bytecode_for(&Scope::new(), &names)?;
-        let inner = plan.inner.as_ref().ok()?;
+        let graph = plan.graph.as_ref().ok()?;
         let rows_plan = self.body.structure.as_ref().ok()?;
+        let prog = self.program_for(plan).ok()?;
 
         // Baseline: the un-overridden play, through the program so its
         // register image is available for lane seeding.
-        let order = self.base_global_plan.as_ref().ok()?;
-        let mut scope = Scope::new();
-        let mut decl: Vec<Option<(String, f64)>> = vec![None; self.globals.len()];
-        for &i in order {
-            let g = &self.globals[i];
-            let value = g.expr.eval(&scope).ok()?;
-            scope.set(g.name.clone(), value);
-            decl[i] = Some((g.name.to_string(), value));
-        }
-        let resolved: Vec<(String, f64)> = decl
-            .into_iter()
-            .map(|slot| slot.expect("every global evaluated"))
-            .collect();
+        let resolved = self.eval_base_globals(&mut Scope::new()).ok()?;
         let mut baseline_regs = Vec::new();
         let baseline = prog
             .replay_full(self.name.clone(), resolved, &mut baseline_regs)
@@ -1219,11 +1041,11 @@ impl CompiledSheet {
         // Names whose value can differ from the baseline at some point
         // of the sweep: the override names plus the fixpoint of
         // non-overridden global formulas reading any of them.
-        let mut changed: BTreeSet<&str> = names.iter().copied().collect();
+        let mut changed: BTreeSet<&str> = plan.names.iter().map(String::as_str).collect();
         loop {
             let mut grew = false;
             for (i, g) in self.globals.iter().enumerate() {
-                if inner.global_slot[i].is_some() || changed.contains(&*g.name) {
+                if graph.global_slot[i].is_some() || changed.contains(&*g.name) {
                     continue;
                 }
                 if g.free.iter().any(|v| changed.contains(v.as_str())) {
@@ -1269,7 +1091,7 @@ impl CompiledSheet {
         Some(BatchKernel {
             plan: self,
             oplan: plan,
-            inner,
+            graph,
             prog,
             rows_plan,
             dirty,
@@ -1311,7 +1133,7 @@ impl BatchKernel<'_> {
             let mut scope = Scope::new();
             match self
                 .plan
-                .eval_globals_with_plan(&mut scope, self.oplan, self.inner, values)
+                .eval_globals(&mut scope, &self.oplan.names, self.graph, values)
             {
                 Ok(resolved) => lanes.push((idx, resolved)),
                 Err(err) => out[idx] = Some(Err(err)),
@@ -1413,56 +1235,11 @@ fn set_row_outputs(row: &CompiledRow, report: &RowReport, power_layer: &mut Scop
     }
 }
 
-/// The targeted walk of an incremental replay: dirty rows re-evaluate
-/// (propagating to dependents only when their outputs actually change,
-/// compared bitwise), clean rows reuse the previous report. Scopes seen
-/// by evaluated rows are identical to a full replay's by induction, so
-/// the result is bit-for-bit the same.
-fn delta_walk(
-    plan: &RowsPlan,
-    globals_scope: &Scope<'_>,
-    prev: &SheetReport,
-    dirty: &mut [bool],
-) -> Result<(Vec<RowReport>, usize), EvaluateSheetError> {
-    let mut power_layer = globals_scope.child();
-    let mut reports: Vec<Option<RowReport>> = vec![None; plan.rows.len()];
-    let mut evaluated = 0usize;
-    for &i in &plan.order {
-        let row = &plan.rows[i];
-        let prev_row = &prev.rows()[i];
-        let report = if dirty[i] {
-            evaluated += 1;
-            let fresh = evaluate_compiled_row(row, &power_layer)?;
-            let power_changed =
-                fresh.power().value().to_bits() != prev_row.power().value().to_bits();
-            let area_changed = fresh.area().map(|a| a.value().to_bits())
-                != prev_row.area().map(|a| a.value().to_bits());
-            if power_changed || area_changed {
-                for &d in &plan.dependents[i] {
-                    dirty[d] = true;
-                }
-            }
-            fresh
-        } else {
-            prev_row.clone()
-        };
-        set_row_outputs(row, &report, &mut power_layer);
-        reports[i] = Some(report);
-    }
-    Ok((
-        reports
-            .into_iter()
-            .map(|r| r.expect("every row evaluated"))
-            .collect(),
-        evaluated,
-    ))
-}
-
-/// [`delta_walk`] over the bytecode program: dirty rows re-execute their
-/// code spans against the persistent register file (`regs`, a valid
-/// image of `prev` — see [`CompiledSheet::ensure_regs`]), clean rows
-/// reuse the previous report verbatim. Change propagation compares the
-/// same power/area bits the tree walk does. On success `regs` mirrors
+/// The targeted walk of an incremental replay: dirty rows re-execute
+/// their code spans against the persistent register file (`regs`, a
+/// valid image of `prev` — see [`ensure_regs`]), clean rows reuse the
+/// previous report verbatim. A dirty row propagates to its dependents
+/// only when its power or area bits changed. On success `regs` mirrors
 /// the returned rows (clean rows' slots were already consistent and
 /// dirty rows' slots were just recomputed); on error it must be
 /// invalidated by the caller, since a trapped span leaves partial
@@ -1527,42 +1304,69 @@ fn compile_globals(sheet: &Sheet) -> (Vec<CompiledGlobal>, Result<Vec<usize>, Ev
             expr: expr.clone(),
         })
         .collect();
-    let base_global_plan = plan_globals(&globals);
+    let base_global_plan = plan_global_graph(&globals, &[]).map(|graph| graph.order);
     (globals, base_global_plan)
 }
 
-/// Plans global evaluation order for the un-overridden sheet,
-/// replicating the engine's scan: a self-reference errors first (lowest
-/// declaration index wins), then cycles surface from the toposort.
-fn plan_globals(globals: &[CompiledGlobal]) -> Result<Vec<usize>, EvaluateSheetError> {
-    let index_of: BTreeMap<&str, usize> = globals
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (&*g.name, i))
-        .collect();
+/// Plans global evaluation under the override `names` (empty for the
+/// un-overridden sheet), replicating the engine's scan: an overridden
+/// global is a literal with no formula edges, a name that is not a
+/// declared global is appended as a new literal node, a self-reference
+/// errors first (lowest declaration index wins), then cycles surface
+/// from the toposort.
+fn plan_global_graph(
+    globals: &[CompiledGlobal],
+    names: &[String],
+) -> Result<GlobalGraph, EvaluateSheetError> {
+    let mut global_slot: Vec<Option<usize>> = vec![None; globals.len()];
+    let mut appended: Vec<usize> = Vec::new();
+    for (slot, name) in names.iter().enumerate() {
+        if let Some(i) = globals.iter().position(|g| &*g.name == name.as_str()) {
+            global_slot[i] = Some(slot);
+        } else {
+            appended.push(slot);
+        }
+    }
+    let node_count = globals.len() + appended.len();
+    let name_of = |k: usize| -> &str {
+        if k < globals.len() {
+            &globals[k].name
+        } else {
+            &names[appended[k - globals.len()]]
+        }
+    };
+    let index_of: BTreeMap<&str, usize> = (0..node_count).map(|k| (name_of(k), k)).collect();
     let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (i, global) in globals.iter().enumerate() {
-        if global.free.contains(&*global.name) {
-            return Err(EvaluateSheetError::CircularGlobals(vec![global
+    for k in 0..node_count {
+        deps.entry(k).or_default();
+    }
+    for (k, (slot, g)) in global_slot.iter().zip(globals).enumerate() {
+        if slot.is_some() {
+            continue; // overridden: a constant, no formula deps
+        }
+        if g.free.contains(&*g.name) {
+            return Err(EvaluateSheetError::CircularGlobals(vec![g
                 .name
                 .to_string()]));
         }
-        let entry = deps.entry(i).or_default();
-        for var in &global.free {
+        let entry = deps.entry(k).or_default();
+        for var in &g.free {
             if let Some(&j) = index_of.get(var.as_str()) {
-                if j != i {
+                if j != k {
                     entry.insert(j);
                 }
             }
         }
     }
-    toposort(globals.len(), &deps).map_err(|cycle| {
+    let order = toposort(node_count, &deps).map_err(|cycle| {
         EvaluateSheetError::CircularGlobals(
-            cycle
-                .into_iter()
-                .map(|i| globals[i].name.to_string())
-                .collect(),
+            cycle.into_iter().map(|k| name_of(k).to_owned()).collect(),
         )
+    })?;
+    Ok(GlobalGraph {
+        global_slot,
+        appended,
+        order,
     })
 }
 
@@ -1807,7 +1611,7 @@ fn evaluate_compiled_row(
     match &row.kind {
         CompiledRowKind::SubSheet(sub) => {
             let sub_report =
-                sub.play_impl(&param_scope, &[])
+                sub.play_tree_in(&param_scope)
                     .map_err(|source| EvaluateSheetError::Nested {
                         row: row.name.to_string(),
                         source: Box::new(source),
@@ -2034,9 +1838,9 @@ impl CompiledSheet {
     /// instruction stream. Returns a one-line notice when the sheet has
     /// no program (top-level structural error).
     pub fn disassemble(&self) -> String {
-        match &self.body.program {
-            Some(prog) => prog.disassemble(),
-            None => "no bytecode program: top-level structure failed to compile\n".to_owned(),
+        match self.program() {
+            Ok(prog) => prog.disassemble(),
+            Err(_) => "no bytecode program: top-level structure failed to compile\n".to_owned(),
         }
     }
 }

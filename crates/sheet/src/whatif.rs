@@ -5,22 +5,25 @@
 //! and supply voltages can be varied dynamically" — these helpers are the
 //! programmatic form of turning those knobs.
 //!
-//! Every helper compiles the sheet to a [`CompiledSheet`] once, hoists
-//! the override-name resolution into one [`crate::plan::OverridePlan`]
-//! per sweep, and replays points *incrementally*. Sweeps and Monte-Carlo
-//! studies go through the batched bytecode kernel when one is available
-//! ([`CompiledSheet::batch_kernel`]): points are grouped into
-//! [`BatchKernel::WIDTH`]-lane chunks and every dirty row's code span is
-//! executed across all lanes per instruction-dispatch pass. Otherwise
-//! each worker owns a reusable [`ReplayState`] and goes through
+//! There is one entry point per operation, and each takes a
+//! [`CompiledSheet`]: compile once with [`CompiledSheet::compile`], then
+//! sweep, rank sensitivities, search the supply or sample uncertainty
+//! from the same plan. Every helper hoists the override-name resolution
+//! into one [`crate::plan::OverridePlan`] per study and runs the plan's
+//! bytecode program. Sweeps and Monte-Carlo studies use the batched
+//! kernel ([`CompiledSheet::batch_kernel`]) when it can be built: points
+//! are grouped into [`BatchKernel::WIDTH`]-lane chunks and every dirty
+//! row's code span is executed across all lanes per instruction-dispatch
+//! pass. When it cannot (the un-overridden baseline does not play), each
+//! worker owns a reusable [`ReplayState`] and goes through
 //! [`CompiledSheet::replay_delta_with_plan`], so a point re-evaluates
 //! only the rows its changed globals actually reach. Identical points
 //! (sensitivity sweeps revisiting a base) are deduplicated before
 //! dispatch and answered from the first evaluation. Results are
 //! returned in input order and, per point, are bit-identical to the
-//! serial reference implementations (kept as `*_serial` for
-//! benchmarking and as oracles); on failure the error reported is the
-//! one the earliest point in input order produced.
+//! serial reference ([`sweep_global_serial`], kept for benchmarking and
+//! as an oracle); on failure the error reported is the one the earliest
+//! point in input order produced.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,9 +166,15 @@ where
 }
 
 /// Evaluates the design once per value of `global`, returning
-/// `(value, report)` pairs. Points are evaluated in parallel from one
-/// compiled plan; the result order (and every report in it) is identical
-/// to [`sweep_global_serial`].
+/// `(value, report)` pairs. Points are evaluated in parallel from the
+/// compiled plan, so repeated sweeps of one design (the web app's sweep
+/// endpoint) skip recompilation; the result order (and every report in
+/// it) is identical to [`sweep_global_serial`].
+///
+/// The override-name resolution is hoisted into one
+/// [`crate::plan::OverridePlan`] for the whole sweep, and duplicate
+/// values are evaluated once (cross-point memoization, counted in
+/// `powerplay_whatif_memo_*`).
 ///
 /// # Errors
 ///
@@ -174,7 +183,7 @@ where
 ///
 /// ```
 /// use powerplay_library::builtin::ucb_library;
-/// use powerplay_sheet::{whatif, Sheet};
+/// use powerplay_sheet::{whatif, CompiledSheet, Sheet};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let lib = ucb_library();
@@ -182,35 +191,12 @@ where
 /// sheet.set_global("vdd", "1.5")?;
 /// sheet.set_global("f", "2MHz")?;
 /// sheet.add_element_row("M", "ucb/multiplier", [])?;
-/// let curve = whatif::sweep_global(&sheet, &lib, "vdd", &[1.0, 2.0, 3.0])?;
+/// let plan = CompiledSheet::compile(&sheet, &lib);
+/// let curve = whatif::sweep_compiled(&plan, "vdd", &[1.0, 2.0, 3.0])?;
 /// assert!(curve[2].1.total_power() > curve[0].1.total_power());
 /// # Ok(())
 /// # }
 /// ```
-pub fn sweep_global(
-    sheet: &Sheet,
-    registry: &Registry,
-    global: &str,
-    values: &[f64],
-) -> Result<Vec<(f64, SheetReport)>, EvaluateSheetError> {
-    let plan = CompiledSheet::compile(sheet, registry);
-    sweep_compiled(&plan, global, values)
-}
-
-/// [`sweep_global`] over an already compiled plan — what the web app's
-/// sweep endpoint uses so repeated sweeps of the same design skip
-/// recompilation.
-///
-/// The override-name resolution is hoisted into one
-/// [`crate::plan::OverridePlan`] for the whole sweep, duplicate values
-/// are evaluated once (cross-point memoization, counted in
-/// `powerplay_whatif_memo_*`), and each worker replays points
-/// incrementally through a reused [`ReplayState`].
-///
-/// # Errors
-///
-/// Returns the [`EvaluateSheetError`] of the first failing value in
-/// input order.
 pub fn sweep_compiled(
     plan: &CompiledSheet,
     global: &str,
@@ -282,7 +268,7 @@ pub fn sweep_compiled(
         .collect()
 }
 
-/// Serial reference implementation of [`sweep_global`]: clone the sheet,
+/// Serial reference implementation of [`sweep_compiled`]: clone the sheet,
 /// mutate the global, re-play — once per value. Kept as the oracle the
 /// parallel path is tested against and as the baseline the benchmarks
 /// compare compiled replay to.
@@ -314,21 +300,6 @@ pub fn sweep_global_serial(
 ///
 /// Globals whose value is zero are skipped (no relative perturbation
 /// exists).
-///
-/// # Errors
-///
-/// Returns the first [`EvaluateSheetError`] encountered.
-pub fn sensitivities(
-    sheet: &Sheet,
-    registry: &Registry,
-) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
-    let plan = CompiledSheet::compile(sheet, registry);
-    sensitivities_compiled(&plan)
-}
-
-/// [`sensitivities`] over an already compiled plan — what the web app's
-/// sensitivities endpoint uses so repeated analyses of a cached design
-/// skip recompilation.
 ///
 /// # Errors
 ///
@@ -387,12 +358,10 @@ pub fn sensitivities_compiled(
 ///
 /// Returns the [`EvaluateSheetError`] of the lowest-supply failing probe.
 pub fn min_vdd_meeting_timing(
-    sheet: &Sheet,
-    registry: &Registry,
+    plan: &CompiledSheet,
     vdd_min: Voltage,
     vdd_max: Voltage,
 ) -> Result<Option<(Voltage, SheetReport)>, EvaluateSheetError> {
-    let plan = CompiledSheet::compile(sheet, registry);
     let override_plan = plan.override_plan(&["vdd"]);
     let meets_timing = |report: &SheetReport| {
         report
@@ -467,14 +436,13 @@ pub fn min_vdd_meeting_timing(
 ///
 /// Returns the first [`EvaluateSheetError`] encountered.
 pub fn voltage_scaling_gain(
-    sheet: &Sheet,
-    registry: &Registry,
+    plan: &CompiledSheet,
     vdd_nominal: Voltage,
 ) -> Result<Option<(Power, Power, Voltage)>, EvaluateSheetError> {
-    let p_nominal = CompiledSheet::compile(sheet, registry)
+    let p_nominal = plan
         .play_with(&[("vdd", vdd_nominal.value())])?
         .total_power();
-    match min_vdd_meeting_timing(sheet, registry, Voltage::new(0.75), vdd_nominal)? {
+    match min_vdd_meeting_timing(plan, Voltage::new(0.75), vdd_nominal)? {
         None => Ok(None),
         Some((vdd, report)) => Ok(Some((p_nominal, report.total_power(), vdd))),
     }
@@ -528,8 +496,7 @@ impl MonteCarloSummary {
 ///
 /// Panics if `trials` is zero or `rel` is not in `(0, 1)`.
 pub fn monte_carlo(
-    sheet: &Sheet,
-    registry: &Registry,
+    plan: &CompiledSheet,
     globals: &[&str],
     rel: f64,
     trials: usize,
@@ -543,7 +510,6 @@ pub fn monte_carlo(
         rel > 0.0 && rel < 1.0,
         "relative perturbation must be in (0, 1)"
     );
-    let plan = CompiledSheet::compile(sheet, registry);
     let base = plan.play()?;
     // Globals absent from the report draw nothing; resolve the present
     // set once so every trial perturbs the same names and one hoisted
@@ -595,6 +561,10 @@ mod tests {
     use super::*;
     use powerplay_library::builtin::ucb_library;
 
+    fn plan(sheet: &Sheet) -> CompiledSheet {
+        CompiledSheet::compile(sheet, &ucb_library())
+    }
+
     fn sheet() -> Sheet {
         let mut s = Sheet::new("s");
         s.set_global("vdd", "3.3").unwrap();
@@ -608,8 +578,7 @@ mod tests {
 
     #[test]
     fn vdd_sweep_is_quadratic_for_full_rail() {
-        let lib = ucb_library();
-        let curve = sweep_global(&sheet(), &lib, "vdd", &[1.0, 2.0, 4.0]).unwrap();
+        let curve = sweep_compiled(&plan(&sheet()), "vdd", &[1.0, 2.0, 4.0]).unwrap();
         let p: Vec<f64> = curve.iter().map(|(_, r)| r.total_power().value()).collect();
         assert!((p[1] / p[0] - 4.0).abs() < 1e-9);
         assert!((p[2] / p[1] - 4.0).abs() < 1e-9);
@@ -617,8 +586,7 @@ mod tests {
 
     #[test]
     fn frequency_sweep_is_linear() {
-        let lib = ucb_library();
-        let curve = sweep_global(&sheet(), &lib, "f", &[1e6, 2e6, 4e6]).unwrap();
+        let curve = sweep_compiled(&plan(&sheet()), "f", &[1e6, 2e6, 4e6]).unwrap();
         let p: Vec<f64> = curve.iter().map(|(_, r)| r.total_power().value()).collect();
         assert!((p[1] / p[0] - 2.0).abs() < 1e-9);
         assert!((p[2] / p[1] - 2.0).abs() < 1e-9);
@@ -626,8 +594,7 @@ mod tests {
 
     #[test]
     fn sensitivities_rank_vdd_over_f() {
-        let lib = ucb_library();
-        let sens = sensitivities(&sheet(), &lib).unwrap();
+        let sens = sensitivities_compiled(&plan(&sheet())).unwrap();
         let get = |name: &str| sens.iter().find(|(n, _)| n == name).map(|(_, s)| *s);
         // Full-rail design: S_vdd = 2 (quadratic), S_f = 1 (linear).
         assert!((get("vdd").unwrap() - 2.0).abs() < 1e-3);
@@ -638,8 +605,8 @@ mod tests {
 
     #[test]
     fn min_vdd_meets_timing_and_saves_power() {
-        let lib = ucb_library();
-        let result = min_vdd_meeting_timing(&sheet(), &lib, Voltage::new(0.75), Voltage::new(3.3))
+        let plan = plan(&sheet());
+        let result = min_vdd_meeting_timing(&plan, Voltage::new(0.75), Voltage::new(3.3))
             .unwrap()
             .expect("2 MHz timing must be reachable");
         let (vdd, report) = result;
@@ -651,7 +618,7 @@ mod tests {
             }
         }
         // And scaling gains power quadratically-ish.
-        let (p_nom, p_scaled, _) = voltage_scaling_gain(&sheet(), &lib, Voltage::new(3.3))
+        let (p_nom, p_scaled, _) = voltage_scaling_gain(&plan, Voltage::new(3.3))
             .unwrap()
             .unwrap();
         assert!(p_scaled.value() < p_nom.value() / 2.0);
@@ -659,11 +626,10 @@ mod tests {
 
     #[test]
     fn unreachable_timing_returns_none() {
-        let lib = ucb_library();
         let mut fast = sheet();
         fast.set_global("f", "200MHz").unwrap(); // SRAM can't cycle at 5 ns here
         let result =
-            min_vdd_meeting_timing(&fast, &lib, Voltage::new(0.75), Voltage::new(3.3)).unwrap();
+            min_vdd_meeting_timing(&plan(&fast), Voltage::new(0.75), Voltage::new(3.3)).unwrap();
         assert!(result.is_none());
     }
 
@@ -672,7 +638,7 @@ mod tests {
         let lib = ucb_library();
         let s = sheet();
         let nominal = s.play(&lib).unwrap().total_power().value();
-        let mc = monte_carlo(&s, &lib, &["vdd", "f"], 0.1, 200, 42).unwrap();
+        let mc = monte_carlo(&plan(&s), &["vdd", "f"], 0.1, 200, 42).unwrap();
         assert_eq!(mc.samples.len(), 200);
         // The nominal sits inside the sampled distribution.
         assert!(mc.quantile(0.0).value() < nominal);
@@ -687,21 +653,19 @@ mod tests {
 
     #[test]
     fn monte_carlo_is_deterministic_per_seed() {
-        let lib = ucb_library();
-        let s = sheet();
-        let a = monte_carlo(&s, &lib, &["vdd"], 0.2, 50, 7).unwrap();
-        let b = monte_carlo(&s, &lib, &["vdd"], 0.2, 50, 7).unwrap();
+        let plan = plan(&sheet());
+        let a = monte_carlo(&plan, &["vdd"], 0.2, 50, 7).unwrap();
+        let b = monte_carlo(&plan, &["vdd"], 0.2, 50, 7).unwrap();
         assert_eq!(a, b);
-        let c = monte_carlo(&s, &lib, &["vdd"], 0.2, 50, 8).unwrap();
+        let c = monte_carlo(&plan, &["vdd"], 0.2, 50, 8).unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn monte_carlo_wider_uncertainty_wider_spread() {
-        let lib = ucb_library();
-        let s = sheet();
-        let narrow = monte_carlo(&s, &lib, &["vdd"], 0.05, 150, 1).unwrap();
-        let wide = monte_carlo(&s, &lib, &["vdd"], 0.3, 150, 1).unwrap();
+        let plan = plan(&sheet());
+        let narrow = monte_carlo(&plan, &["vdd"], 0.05, 150, 1).unwrap();
+        let wide = monte_carlo(&plan, &["vdd"], 0.3, 150, 1).unwrap();
         assert!(wide.spread() > narrow.spread());
     }
 
@@ -714,8 +678,7 @@ mod tests {
 
     #[test]
     fn sweep_preserves_other_globals() {
-        let lib = ucb_library();
-        let curve = sweep_global(&sheet(), &lib, "vdd", &[1.5]).unwrap();
+        let curve = sweep_compiled(&plan(&sheet()), "vdd", &[1.5]).unwrap();
         assert_eq!(curve[0].1.global("f"), Some(2e6));
         assert_eq!(curve[0].1.global("vdd"), Some(1.5));
     }
@@ -725,7 +688,7 @@ mod tests {
         let lib = ucb_library();
         let s = sheet();
         let values: Vec<f64> = (0..100).map(|i| 0.9 + 0.025 * i as f64).collect();
-        let parallel = sweep_global(&s, &lib, "vdd", &values).unwrap();
+        let parallel = sweep_compiled(&plan(&s), "vdd", &values).unwrap();
         let serial = sweep_global_serial(&s, &lib, "vdd", &values).unwrap();
         assert_eq!(parallel, serial);
     }
@@ -743,7 +706,7 @@ mod tests {
         s.add_element_row("W", "ucb/wire", [("length_mm", "vdd")])
             .unwrap();
         let values = [1.0, -4.0, -9.0];
-        let parallel = sweep_global(&s, &lib, "vdd", &values).unwrap_err();
+        let parallel = sweep_compiled(&plan(&s), "vdd", &values).unwrap_err();
         let serial = sweep_global_serial(&s, &lib, "vdd", &values).unwrap_err();
         assert_eq!(parallel, serial);
     }
@@ -811,15 +774,5 @@ mod tests {
         let memoized = sweep_compiled(&plan, "vdd", &values).unwrap_err();
         let serial = sweep_global_serial(&s, &lib, "vdd", &values).unwrap_err();
         assert_eq!(memoized, serial);
-    }
-
-    #[test]
-    fn compiled_sweep_reuses_one_plan() {
-        let lib = ucb_library();
-        let s = sheet();
-        let plan = CompiledSheet::compile(&s, &lib);
-        let a = sweep_compiled(&plan, "vdd", &[1.0, 2.0]).unwrap();
-        let b = sweep_global(&s, &lib, "vdd", &[1.0, 2.0]).unwrap();
-        assert_eq!(a, b);
     }
 }

@@ -129,7 +129,7 @@ proptest! {
         scope.set("vdd", vdd);
         scope.set("f", f);
 
-        // Source design with vdd/f supplied externally.
+        // Source design with vdd/f supplied as appended overrides.
         let mut bare = sheet.clone();
         let keep: Vec<(String, String)> = bare
             .globals()
@@ -144,7 +144,11 @@ proptest! {
         for row in bare.rows_mut() {
             stripped.add_row(row.clone());
         }
-        let direct = stripped.play_in(&library, &scope).unwrap().total_power().value();
+        let direct = CompiledSheet::compile(&stripped, &library)
+            .play_with(&[("vdd", vdd), ("f", f)])
+            .unwrap()
+            .total_power()
+            .value();
         let via_macro = lumped.evaluate(&scope).unwrap().power.value();
         prop_assert!(
             (direct - via_macro).abs() <= 1e-9 * direct.max(1e-12),
@@ -280,8 +284,8 @@ proptest! {
     /// The bytecode replay engine is bit-for-bit the scope-chain tree
     /// walker — report for report — for random designs with a nested
     /// sub-sheet row, a `P_` power chain, and random override sets.
-    /// (`Sheet::play` and `play_with` dispatch to bytecode when a
-    /// program exists, so the tree walker must be invoked explicitly.)
+    /// (Every production play runs bytecode, so the tree walker must be
+    /// invoked explicitly.)
     #[test]
     fn bytecode_replay_matches_tree_walker(
         sheet in arb_sheet(),
@@ -306,24 +310,32 @@ proptest! {
     /// as the tree walker reports it: unknown variables, wrong arity,
     /// unknown functions, non-finite physical values, circular row
     /// powers, and errors buried inside sub-sheets. Overriding `ghost`
-    /// can *resolve* the unknown-variable defects — the dispatch must
-    /// then fall back to the tree walker, and both paths must agree on
-    /// the now-successful report as well.
+    /// can *resolve* the unknown-variable defects — the override plan
+    /// then runs a program lowered with `ghost` as a global, and it must
+    /// agree with the tree walker on the now-successful report as well:
+    /// in one-off plays, in delta replays through one reused state, and
+    /// through a two-name (`ghost`, `vdd`) plan of the shape a
+    /// Monte-Carlo study builds, batched and per point, and in a sweep
+    /// of `ghost`.
     #[test]
     fn bytecode_errors_match_tree_walker(
         sheet in arb_sheet(),
         defect in 0u32..6,
-        overrides in prop::collection::vec(
-            (
-                prop_oneof![
-                    Just("vdd".to_owned()),
-                    Just("f".to_owned()),
-                    Just("ghost".to_owned()),
-                ],
-                0.5f64..5.0,
+        sequence in prop::collection::vec(
+            prop::collection::vec(
+                (
+                    prop_oneof![
+                        Just("vdd".to_owned()),
+                        Just("f".to_owned()),
+                        Just("ghost".to_owned()),
+                    ],
+                    0.5f64..5.0,
+                ),
+                0..3,
             ),
-            0..3,
+            1..5,
         ),
+        points in prop::collection::vec((0.5f64..5.0, 0.5f64..5.0), 1..10),
     ) {
         let library = lib();
         let mut broken = sheet;
@@ -373,8 +385,38 @@ proptest! {
             }
         }
         let plan = CompiledSheet::compile(&broken, &library);
-        let ov: Vec<(&str, f64)> = overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        prop_assert_eq!(plan.play_with(&ov), plan.play_with_tree(&ov));
+        let mut state = ReplayState::new();
+        for overrides in &sequence {
+            let ov: Vec<(&str, f64)> = overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            let tree = plan.play_with_tree(&ov);
+            prop_assert_eq!(&plan.play_with(&ov), &tree);
+            prop_assert_eq!(plan.replay_delta(&mut state, &ov), tree);
+        }
+
+        let study = plan.override_plan(&["ghost", "vdd"]);
+        let values: Vec<[f64; 2]> = points.iter().map(|&(g, v)| [g, v]).collect();
+        let tree: Vec<_> = values
+            .iter()
+            .map(|&[g, v]| plan.play_with_tree(&[("ghost", g), ("vdd", v)]))
+            .collect();
+        let mut state = ReplayState::new();
+        for (point, expected) in values.iter().zip(&tree) {
+            prop_assert_eq!(&plan.play_with_plan(&study, point), expected);
+            prop_assert_eq!(&plan.replay_delta_with_plan(&study, &mut state, point), expected);
+        }
+        if let Some(kernel) = plan.batch_kernel(&study) {
+            prop_assert_eq!(kernel.replay_chunk(&values), tree);
+        }
+
+        let ghosts: Vec<f64> = points.iter().map(|&(g, _)| g).collect();
+        let tree_sweep: Result<Vec<_>, _> = ghosts
+            .iter()
+            .map(|&g| plan.play_with_tree(&[("ghost", g)]).map(|report| (g, report)))
+            .collect();
+        prop_assert_eq!(
+            powerplay_sheet::whatif::sweep_compiled(&plan, "ghost", &ghosts),
+            tree_sweep
+        );
     }
 
     /// Delta replay over the bytecode register file is bit-for-bit both
@@ -512,4 +554,72 @@ fn replay_state_survives_plan_swap() {
     let fresh = plan_b.replay_delta(&mut state, &[]).unwrap();
     assert_eq!(state.last_outcome(), DeltaOutcome::Full);
     assert_eq!(Ok(fresh), plan_b.play());
+}
+
+/// `chained_sheet` plus a row reading `ghost`, a name no global declares.
+fn ghost_sheet() -> Sheet {
+    let mut sheet = chained_sheet();
+    sheet
+        .add_element_row("Ghost Reader", "ucb/register", [("bits", "ghost * 2")])
+        .unwrap();
+    sheet
+}
+
+#[test]
+fn override_plan_appending_an_unresolved_name_batches() {
+    let library = lib();
+    let plan = CompiledSheet::compile(&ghost_sheet(), &library);
+    assert!(
+        plan.play().is_err(),
+        "`ghost` is unknown without an override"
+    );
+    let study = plan.override_plan(&["ghost"]);
+    let kernel = plan
+        .batch_kernel(&study)
+        .expect("the plan's own program covers `ghost`");
+    let points = [[4.0], [8.0], [16.0]];
+    for (point, report) in points.iter().zip(kernel.replay_chunk(&points)) {
+        assert!(report.is_ok());
+        assert_eq!(report, plan.play_with_tree(&[("ghost", point[0])]));
+    }
+}
+
+#[test]
+fn delta_replay_moves_between_programs() {
+    let library = lib();
+    let plan = CompiledSheet::compile(&ghost_sheet(), &library);
+    let mut state = ReplayState::new();
+
+    let first = plan.replay_delta(&mut state, &[("ghost", 4.0)]);
+    assert_eq!(state.last_outcome(), DeltaOutcome::Full);
+    assert_eq!(first, plan.play_with_tree(&[("ghost", 4.0)]));
+
+    // New names, new program: the register image is rebuilt from the
+    // baseline's globals by name, and the walk stays incremental.
+    let second = plan.replay_delta(&mut state, &[("ghost", 4.0), ("duty", 0.8)]);
+    assert_eq!(state.last_outcome(), DeltaOutcome::Incremental);
+    assert_eq!(state.last_dirty_rows(), Some(2));
+    assert_eq!(
+        second,
+        plan.play_with_tree(&[("ghost", 4.0), ("duty", 0.8)])
+    );
+
+    // Without `ghost` the base program cannot reproduce the baseline:
+    // a full replay reports the unknown name, as the tree walker does,
+    // and the baseline survives the error.
+    let third = plan.replay_delta(&mut state, &[("duty", 0.5)]);
+    assert!(third.is_err());
+    assert_eq!(third, plan.play_with_tree(&[("duty", 0.5)]));
+
+    // A baseline lacking one of the program's globals cannot seed its
+    // register image either: the replay falls back to a full one.
+    let mut fresh = ReplayState::new();
+    plan.replay_delta(&mut fresh, &[("ghost", 4.0), ("duty", 0.8)])
+        .unwrap();
+    let wider = plan.replay_delta(&mut fresh, &[("ghost", 4.0), ("duty", 0.8), ("x_new", 1.0)]);
+    assert_eq!(fresh.last_outcome(), DeltaOutcome::Fallback);
+    assert_eq!(
+        wider,
+        plan.play_with_tree(&[("ghost", 4.0), ("duty", 0.8), ("x_new", 1.0)])
+    );
 }

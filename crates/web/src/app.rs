@@ -378,7 +378,7 @@ impl PowerPlayApp {
 
     /// Handles one request: the telemetry middleware (in-flight gauge,
     /// latency histogram, status-class counters, a profile span) around
-    /// [`Self::route`]. Pure, so tests can drive the app without sockets.
+    /// the router. Pure, so tests can drive the app without sockets.
     pub fn handle(&self, req: &Request) -> Response {
         let metrics = http_metrics();
         metrics.inflight.add(1);

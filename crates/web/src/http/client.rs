@@ -247,23 +247,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ClientError
         .next()
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| ClientError::BadResponse("missing status code".into()))?;
-    let status = match code {
-        200 => Status::Ok,
-        201 => Status::Created,
-        302 => Status::Found,
-        304 => Status::NotModified,
-        400 => Status::BadRequest,
-        401 => Status::Unauthorized,
-        404 => Status::NotFound,
-        405 => Status::MethodNotAllowed,
-        408 => Status::RequestTimeout,
-        409 => Status::Conflict,
-        413 => Status::PayloadTooLarge,
-        428 => Status::PreconditionRequired,
-        431 => Status::RequestHeaderFieldsTooLarge,
-        503 => Status::ServiceUnavailable,
-        _ => Status::InternalServerError,
-    };
+    let status = Status::from_code(code);
 
     let mut headers = BTreeMap::new();
     loop {

@@ -6,7 +6,8 @@ use std::sync::{Arc, Mutex};
 
 use super::stream::{OnStreamOpen, StreamHandle};
 
-/// Response status codes PowerPlay emits.
+/// Response status codes PowerPlay emits, plus any other code a client
+/// receives from a remote server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// 200
@@ -39,9 +40,34 @@ pub enum Status {
     InternalServerError,
     /// 503 (worker pool saturated; try again)
     ServiceUnavailable,
+    /// A code PowerPlay never emits (410, 429, 502, …), kept as received
+    /// by the client.
+    Other(u16),
 }
 
 impl Status {
+    /// The status for a received numeric code.
+    pub fn from_code(code: u16) -> Status {
+        match code {
+            200 => Status::Ok,
+            201 => Status::Created,
+            302 => Status::Found,
+            304 => Status::NotModified,
+            400 => Status::BadRequest,
+            401 => Status::Unauthorized,
+            404 => Status::NotFound,
+            405 => Status::MethodNotAllowed,
+            408 => Status::RequestTimeout,
+            409 => Status::Conflict,
+            413 => Status::PayloadTooLarge,
+            428 => Status::PreconditionRequired,
+            431 => Status::RequestHeaderFieldsTooLarge,
+            500 => Status::InternalServerError,
+            503 => Status::ServiceUnavailable,
+            other => Status::Other(other),
+        }
+    }
+
     /// Numeric code.
     pub fn code(self) -> u16 {
         match self {
@@ -60,6 +86,7 @@ impl Status {
             Status::RequestHeaderFieldsTooLarge => 431,
             Status::InternalServerError => 500,
             Status::ServiceUnavailable => 503,
+            Status::Other(code) => code,
         }
     }
 
@@ -81,6 +108,7 @@ impl Status {
             Status::RequestHeaderFieldsTooLarge => "Request Header Fields Too Large",
             Status::InternalServerError => "Internal Server Error",
             Status::ServiceUnavailable => "Service Unavailable",
+            Status::Other(_) => "Unknown",
         }
     }
 }
@@ -338,6 +366,11 @@ mod tests {
         assert_eq!(Status::PayloadTooLarge.code(), 413);
         assert_eq!(Status::RequestHeaderFieldsTooLarge.code(), 431);
         assert_eq!(Status::ServiceUnavailable.code(), 503);
+        for code in [200, 304, 404, 410, 429, 500, 502, 503] {
+            assert_eq!(Status::from_code(code).code(), code);
+        }
+        assert_eq!(Status::from_code(500), Status::InternalServerError);
+        assert_eq!(Status::from_code(410), Status::Other(410));
     }
 
     #[test]

@@ -191,6 +191,39 @@ mod tests {
         assert!(matches!(err, FetchError::Status(404)));
     }
 
+    /// A one-shot site that answers its first request with `status`.
+    fn stub_answering(status: &'static str) -> (String, std::thread::JoinHandle<()>) {
+        use std::io::{BufRead, BufReader, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let base = format!("http://{}", listener.local_addr().unwrap());
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            let mut stream = stream;
+            write!(
+                stream,
+                "HTTP/1.1 {status}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+            )
+            .unwrap();
+        });
+        (base, handle)
+    }
+
+    #[test]
+    fn unlisted_status_codes_are_reported_as_received() {
+        for (status, code) in [("410 Gone", 410), ("502 Bad Gateway", 502)] {
+            let (base, site) = stub_answering(status);
+            let err = fetch_element(&base, "ucb/sram").unwrap_err();
+            site.join().unwrap();
+            assert!(matches!(err, FetchError::Status(c) if c == code), "{err}");
+            assert!(err.to_string().contains(&code.to_string()));
+        }
+    }
+
     #[test]
     fn unreachable_site_is_a_transport_error() {
         let err = fetch_library("http://127.0.0.1:1").unwrap_err();

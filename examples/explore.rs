@@ -14,23 +14,19 @@ fn bar(width_units: f64) -> String {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pp = PowerPlay::new();
     let decoder = luminance::sheet(LuminanceArch::GroupedLut);
+    let plan = pp.compile(&decoder);
 
     // --- Supply sweep (EQ 1: quadratic for this full-rail design).
     println!("power vs supply for the Figure 3 decoder:");
     let vdds: Vec<f64> = (0..10).map(|i| 1.0 + 0.25 * i as f64).collect();
-    let curve = whatif::sweep_global(&decoder, pp.registry(), "vdd", &vdds)?;
+    let curve = whatif::sweep_compiled(&plan, "vdd", &vdds)?;
     for (vdd, report) in &curve {
         let uw = report.total_power().value() * 1e6;
         println!("  {vdd:>5.2} V | {:<40} {uw:7.1} uW", bar(uw / 15.0));
     }
 
     // --- Timing-constrained minimum supply (the low-power play).
-    match whatif::min_vdd_meeting_timing(
-        &decoder,
-        pp.registry(),
-        Voltage::new(0.75),
-        Voltage::new(3.3),
-    )? {
+    match whatif::min_vdd_meeting_timing(&plan, Voltage::new(0.75), Voltage::new(3.3))? {
         Some((vdd, report)) => println!(
             "\nlowest supply meeting 2 MHz timing: {:.2} V -> {}",
             vdd.value(),
@@ -41,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Sensitivities: which knob matters?
     println!("\nsensitivities (relative):");
-    for (name, s) in whatif::sensitivities(&decoder, pp.registry())? {
+    for (name, s) in whatif::sensitivities_compiled(&plan)? {
         println!("  {name:<6} {s:+.3}");
     }
 

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sensitivity of the system to its globals.
     println!("relative sensitivities of total power:");
-    for (name, s) in whatif::sensitivities(&system, pp.registry())? {
+    for (name, s) in whatif::sensitivities_compiled(&pp.compile(&system))? {
         println!("  d(lnP)/d(ln {name}) = {s:+.3}");
     }
     println!(

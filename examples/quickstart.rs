@@ -27,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What-if: the supply knob (quadratic) and the rate knob (linear).
     println!("vdd sweep:");
-    for (vdd, report) in whatif::sweep_global(&mac, pp.registry(), "vdd", &[1.1, 1.5, 2.5, 3.3])? {
+    let plan = pp.compile(&mac);
+    for (vdd, report) in whatif::sweep_compiled(&plan, "vdd", &[1.1, 1.5, 2.5, 3.3])? {
         println!("  vdd = {vdd:>4} V -> {}", report.total_power());
     }
 

@@ -526,7 +526,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let pp = PowerPlay::new();
     let sheet = load_design(path)?;
-    let curve = powerplay::whatif::sweep_global(&sheet, pp.registry(), global, &points)
+    let curve = powerplay::whatif::sweep_compiled(&pp.compile(&sheet), global, &points)
         .map_err(|e| e.to_string())?;
     println!("{global:>12} {:>14}", "total power");
     for (value, report) in curve {
@@ -570,8 +570,8 @@ fn cmd_sens(args: &[String]) -> Result<(), String> {
     };
     let pp = PowerPlay::new();
     let sheet = load_design(path)?;
-    let sens =
-        powerplay::whatif::sensitivities(&sheet, pp.registry()).map_err(|e| e.to_string())?;
+    let sens = powerplay::whatif::sensitivities_compiled(&pp.compile(&sheet))
+        .map_err(|e| e.to_string())?;
     println!("{:<16} {:>12}", "global", "S = (dP/P)/(dx/x)");
     for (name, s) in sens {
         println!("{name:<16} {s:>12.3}");
@@ -590,7 +590,7 @@ fn cmd_mc(args: &[String]) -> Result<(), String> {
     let names: Vec<&str> = globals.split(',').map(str::trim).collect();
     let pp = PowerPlay::new();
     let sheet = load_design(path)?;
-    let mc = powerplay::whatif::monte_carlo(&sheet, pp.registry(), &names, rel, trials, 1996)
+    let mc = powerplay::whatif::monte_carlo(&pp.compile(&sheet), &names, rel, trials, 1996)
         .map_err(|e| e.to_string())?;
     println!(
         "trials {trials}, +/-{:.0}% on {}",

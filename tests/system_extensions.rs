@@ -114,7 +114,7 @@ fn voltage_scaling_and_battery_compose() {
     let pp = PowerPlay::new();
     let decoder = sheet(LuminanceArch::GroupedLut);
     let (p_nominal, p_scaled, vdd) =
-        whatif::voltage_scaling_gain(&decoder, pp.registry(), Voltage::new(1.5))
+        whatif::voltage_scaling_gain(&pp.compile(&decoder), Voltage::new(1.5))
             .unwrap()
             .expect("2 MHz reachable");
     assert!(vdd.value() < 1.0);
